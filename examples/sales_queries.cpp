@@ -12,8 +12,8 @@
 
 #include "core/advisor.h"
 #include "core/query_parser.h"
+#include "cost/cost_model.h"
 #include "hierarchy/dimension_table.h"
-#include "storage/disk_model.h"
 #include "storage/file_store.h"
 #include "storage/pager.h"
 #include "util/rng.h"
@@ -77,7 +77,6 @@ int main() {
               path.c_str());
 
   // The paper's queries, as text.
-  const DiskModel disk;
   for (const char* text : {
            "location=NY jeans=levi's",  // Q1
            "location=ONT",              // Q2 (grouped fetch)
@@ -94,7 +93,7 @@ int main() {
         a.sum, static_cast<unsigned long long>(a.count),
         static_cast<unsigned long long>(a.io.pages),
         static_cast<unsigned long long>(a.io.seeks),
-        disk.QueryMs(a.io, layout->config().page_size_bytes));
+        DefaultCostModel()->QueryMs(a.io, layout->config().page_size_bytes));
   }
   return 0;
 }

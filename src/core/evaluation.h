@@ -66,7 +66,7 @@ struct EvaluationRequest {
   /// caller keeps ownership and must outlive Plan/Evaluate.
   ObsSink obs;
   /// Time model pricing each strategy's expected_ms (cost/cost_model.h).
-  /// Null selects the analytic default (the seed's DiskModel constants).
+  /// Null selects the analytic default (the seed's disk constants).
   /// The model never affects ranking or expected_cost — those stay the
   /// model-independent seek surrogate — only the ms conversion at the edge,
   /// so cached per-class integers are shared across models.

@@ -177,6 +177,7 @@ CostFeatures CostFeatures::FromWorkloadIo(const WorkloadIoStats& io) {
 const char* CostModelKindName(CostModelKind kind) {
   switch (kind) {
     case CostModelKind::kAnalytic:
+      // The seed's late-90s server drive: 9.5 ms positioning, 15 MB/s.
       return "analytic";
     case CostModelKind::kHdd:
       return "hdd";
@@ -201,9 +202,9 @@ Result<CostModelKind> ParseCostModelKind(std::string_view name) {
 std::string AnalyticDiskModel::ToJson() const {
   std::string out = "{\"model\": \"";
   out += CostModelKindName(kind_);
-  out += "\", \"seek_ms\": " + JsonNumber(disk_.seek_ms) +
+  out += "\", \"seek_ms\": " + JsonNumber(seek_ms_) +
          ", \"transfer_bytes_per_ms\": " +
-         JsonNumber(disk_.transfer_bytes_per_ms) + "}";
+         JsonNumber(transfer_bytes_per_ms_) + "}";
   return out;
 }
 
@@ -272,19 +273,19 @@ Result<std::shared_ptr<const CostModel>> MakeCostModel(CostModelKind kind) {
   switch (kind) {
     case CostModelKind::kAnalytic:
       return std::shared_ptr<const CostModel>(
-          std::make_shared<AnalyticDiskModel>(CostModelKind::kAnalytic,
-                                              "analytic", DiskModel{}));
+          std::make_shared<AnalyticDiskModel>(
+              CostModelKind::kAnalytic, "analytic", 9.5, 15'000.0));
     case CostModelKind::kHdd:
       // A current 7200rpm drive: ~8 ms average positioning, ~160 MB/s
       // sustained sequential transfer.
       return std::shared_ptr<const CostModel>(
           std::make_shared<AnalyticDiskModel>(
-              CostModelKind::kHdd, "hdd", DiskModel{8.0, 160'000.0}));
+              CostModelKind::kHdd, "hdd", 8.0, 160'000.0));
     case CostModelKind::kSsd:
       // NVMe flash: positioning nearly free, ~2 GB/s transfer.
       return std::shared_ptr<const CostModel>(
           std::make_shared<AnalyticDiskModel>(
-              CostModelKind::kSsd, "ssd", DiskModel{0.05, 2'000'000.0}));
+              CostModelKind::kSsd, "ssd", 0.05, 2'000'000.0));
     case CostModelKind::kCalibrated:
       return Status::InvalidArgument(
           "calibrated cost model needs fitted coefficients (use "

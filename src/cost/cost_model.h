@@ -7,7 +7,6 @@
 #include <vector>
 
 #include "storage/backend.h"
-#include "storage/disk_model.h"
 #include "storage/executor.h"
 #include "util/result.h"
 
@@ -44,7 +43,7 @@ const std::vector<CostFeatureField>& CostFeatureFields();
 
 /// The cost-model implementations the stack can price time with.
 enum class CostModelKind {
-  /// The seed's DiskModel constants (9.5 ms seeks, late-90s transfer) — the
+  /// The seed's disk constants (9.5 ms seeks, 15,000 B/ms transfer) — the
   /// bit-compatible default.
   kAnalytic,
   /// Modern rotating-disk preset.
@@ -104,31 +103,39 @@ class CostModel {
   }
 };
 
-/// The DiskModel constants behind the CostModel interface: seeks plus
-/// sequential transfer, nothing else. The kAnalytic instance reproduces the
-/// seed's numbers bit-for-bit (same multiply/divide order as
-/// DiskModel::ExpectedMs); kHdd / kSsd are the same formula with modern
-/// constants.
+/// A rotating-disk time model: seeks times the positioning time plus pages
+/// at the sequential transfer rate, nothing else (seeks dominate; transfer
+/// is cheap — the device class the paper's cost model targets). The
+/// kAnalytic instance keeps the seed's late-90s server-drive constants and
+/// multiply/divide order, so its numbers are bit-for-bit the seed's; kHdd /
+/// kSsd are the same formula with modern constants.
 class AnalyticDiskModel : public CostModel {
  public:
-  AnalyticDiskModel(CostModelKind kind, std::string name, DiskModel disk)
-      : kind_(kind), name_(std::move(name)), disk_(disk) {}
+  /// `seek_ms`: average positioning time per non-sequential access (seek +
+  /// half a rotation); `transfer_bytes_per_ms`: sustained sequential rate.
+  AnalyticDiskModel(CostModelKind kind, std::string name, double seek_ms,
+                    double transfer_bytes_per_ms)
+      : kind_(kind),
+        name_(std::move(name)),
+        seek_ms_(seek_ms),
+        transfer_bytes_per_ms_(transfer_bytes_per_ms) {}
 
   CostModelKind kind() const override { return kind_; }
   const std::string& name() const override { return name_; }
   double EstimateMs(const CostFeatures& features,
                     uint64_t page_size_bytes) const override {
-    return disk_.ExpectedMs(features.seeks, features.pages, page_size_bytes);
+    return features.seeks * seek_ms_ +
+           features.pages * static_cast<double>(page_size_bytes) /
+               transfer_bytes_per_ms_;
   }
-  double SeekMs() const override { return disk_.seek_ms; }
+  double SeekMs() const override { return seek_ms_; }
   std::string ToJson() const override;
-
-  const DiskModel& disk() const { return disk_; }
 
  private:
   CostModelKind kind_;
   std::string name_;
-  DiskModel disk_;
+  double seek_ms_;
+  double transfer_bytes_per_ms_;
 };
 
 /// Linear time model with fitted coefficients: estimated ms is

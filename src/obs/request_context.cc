@@ -54,12 +54,10 @@ RequestVerb ParseRequestVerb(std::string_view verb) {
 RequestContext* RequestContext::Current() { return tls_current_request; }
 
 RequestContextScope::RequestContextScope(RequestContext* ctx)
-    : prev_(tls_current_request), active_(ctx != nullptr) {
-  if (active_) tls_current_request = ctx;
+    : prev_(tls_current_request) {
+  tls_current_request = ctx;
 }
 
-RequestContextScope::~RequestContextScope() {
-  if (active_) tls_current_request = prev_;
-}
+RequestContextScope::~RequestContextScope() { tls_current_request = prev_; }
 
 }  // namespace snakes

@@ -43,7 +43,7 @@ inline constexpr uint64_t kNoTenant = UINT64_MAX;
 /// One in-flight request: a monotonic id, the tenant and verb it serves,
 /// its enqueue/start/finish timestamps (nanoseconds on the owning service's
 /// epoch clock), the result status, and the I/O it touched. The serving
-/// layer stacks the active context in a thread-local (RequestContextScope),
+/// layer installs the active context in a thread-local (RequestContextScope),
 /// so instrumentation deep in the library — ScopedSpan in particular — can
 /// attribute work to a real request id without any parameter plumbing:
 /// every span recorded while a context is active carries an "rid" arg, which
@@ -59,15 +59,14 @@ struct RequestContext {
   uint64_t pages = 0;              // pages the request touched
   uint64_t partitions_pruned = 0;  // partitions zone maps skipped
 
-  /// The innermost active context on this thread; null outside any request.
-  /// Nested handlers (a Dispatch verb calling the sync surface) see the
-  /// outermost request they serve — scopes stack.
+  /// The context of the request this thread is serving; null outside any
+  /// request. The service's request handler installs exactly one per
+  /// request, for the whole request.
   static RequestContext* Current();
 };
 
 /// RAII: makes `ctx` the thread's current request context, restoring the
-/// previous one (usually null) on destruction. Null `ctx` is a no-op scope,
-/// so callers can pass "no context" without branching.
+/// previous one (usually null) on destruction.
 class RequestContextScope {
  public:
   explicit RequestContextScope(RequestContext* ctx);
@@ -77,7 +76,6 @@ class RequestContextScope {
 
  private:
   RequestContext* prev_;
-  bool active_;
 };
 
 }  // namespace snakes

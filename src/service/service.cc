@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <chrono>
 #include <fstream>
+#include <type_traits>
 #include <utility>
+#include <variant>
 
 #include "lattice/lattice.h"
 #include "obs/metrics.h"
@@ -20,16 +22,6 @@ uint64_t ElapsedNs(std::chrono::steady_clock::time_point since) {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - since)
           .count());
-}
-
-/// Hand-off from SubmitInstrumented to the RequestGuard the task body
-/// constructs: the enqueue timestamp (service clock) of the request this
-/// pool thread is about to run, 0 when the running request was not batched.
-thread_local uint64_t tls_pending_enqueue_ns = 0;
-
-/// Attributes the innermost active request to `id` (no-op outside one).
-void TagRequestTenant(TenantId id) {
-  if (RequestContext* ctx = RequestContext::Current()) ctx->tenant = id;
 }
 
 /// Typed requests bypass the parser, so the service re-checks the geometry
@@ -72,6 +64,28 @@ std::string_view TrimWhitespace(std::string_view s) {
   return s;
 }
 
+/// A textual request split into its verb word and its trimmed payload.
+std::pair<std::string_view, std::string_view> SplitVerb(
+    std::string_view request) {
+  const std::string_view trimmed = TrimWhitespace(request);
+  const size_t space = trimmed.find(' ');
+  return {trimmed.substr(0, space),
+          space == std::string_view::npos
+              ? std::string_view{}
+              : TrimWhitespace(trimmed.substr(space + 1))};
+}
+
+/// Name of the span around each verb's body, indexed by RequestVerb.
+constexpr const char* kServiceSpanNames[kNumRequestVerbs] = {
+    "service/unknown",   "service/ingest",      "service/end_epoch",
+    "service/advise",    "service/query",       "service/measure",
+    "service/recluster", "service/set_backend", "service/status",
+    "service/register",  "service/telemetry",   "service/set_cost_model"};
+
+Status AlreadyRegistered(const std::string& name) {
+  return Status::InvalidArgument("tenant '" + name + "' is already registered");
+}
+
 }  // namespace
 
 std::string TenantStatus::ToString() const {
@@ -87,6 +101,52 @@ std::string TenantStatus::ToString() const {
          ", adoptions " + std::to_string(recluster_adoptions) + "\n";
   return out;
 }
+
+struct AdvisorService::Request {
+  /// A textual request as Dispatch received it. Handle resolves the tenant
+  /// by name and parses the payload into the verb's typed argument.
+  struct Text {
+    std::string tenant_name;
+    std::string text;
+  };
+  /// Marks the recluster a closed epoch scheduled in the background. It
+  /// runs on the service's behalf, so it does not count as a tenant request.
+  struct Background {};
+
+  RequestVerb verb = RequestVerb::kUnknown;
+  /// Unused by textual requests, which name their tenant.
+  TenantId tenant = kNoTenant;
+  std::variant<std::monostate, GridQuery, StorageBackendKind, CostModelSpec,
+               TenantSpec, Text, Background>
+      arg;
+
+  static Request FromText(std::string tenant_name, std::string text) {
+    // The verb is parsed before Handle runs, so the recorded request
+    // carries it even when the tenant lookup or the request itself fails.
+    const RequestVerb verb = ParseRequestVerb(SplitVerb(text).first);
+    return {verb, kNoTenant, Text{std::move(tenant_name), std::move(text)}};
+  }
+};
+
+struct AdvisorService::Reply {
+  /// uint64_t carries both a registered TenantId and a closed-epoch count;
+  /// std::string is the reply line of a textual request.
+  std::variant<std::monostate, uint64_t, Recommendation, QueryAnswer, QueryIo,
+               EpochReport, std::string>
+      body;
+
+  /// The typed surfaces' view of a reply: R is Status or Result<T>.
+  template <typename R>
+  static R Unpack(Result<Reply> reply) {
+    if constexpr (std::is_same_v<R, Status>) {
+      return reply.status();
+    } else {
+      if (!reply.ok()) return reply.status();
+      using T = decltype(std::declval<R>().value());
+      return std::get<T>(std::move(reply).value().body);
+    }
+  }
+};
 
 struct AdvisorService::Tenant {
   Tenant(TenantId id_in, TenantSpec spec, const ReclusterConfig& engine_config,
@@ -128,7 +188,7 @@ struct AdvisorService::Tenant {
   std::shared_ptr<const CostModel> cost_model;
 
   /// Serializes ReclusterEngine epochs (the engine is not thread-safe).
-  std::mutex recluster_mu;
+  mutable std::mutex recluster_mu;
   ReclusterEngine engine;
 
   /// Held only to copy or swap the epoch pointer — never across an advise,
@@ -150,84 +210,55 @@ struct AdvisorService::Tenant {
   Counter* requests_counter = nullptr;
   Counter* ingested_counter = nullptr;
   Counter* reclusters_counter = nullptr;
+  Histogram* pin_histogram = nullptr;
 
   void CountRequest() const {
     if (requests_counter != nullptr) requests_counter->Inc();
   }
-};
 
-class AdvisorService::RequestGuard {
- public:
-  RequestGuard(AdvisorService* service, RequestVerb verb)
-      : service_(service),
-        owner_(RequestContext::Current() == nullptr),
-        ctx_(MakeContext(service, verb, owner_)),
-        scope_(owner_ ? &ctx_ : nullptr),
-        span_(owner_ ? service->config_.obs.tracer : nullptr,
-              std::string("request/") + RequestVerbName(verb), "request") {}
-
-  RequestGuard(const RequestGuard&) = delete;
-  RequestGuard& operator=(const RequestGuard&) = delete;
-
-  /// Stamps the handler's outcome on the innermost request. Nested guards
-  /// write too, but the owner wraps them and writes last, so the recorded
-  /// status is the one the caller saw.
-  void Finish(const Status& status) {
-    if (RequestContext* ctx = RequestContext::Current()) {
-      ctx->status = status.code();
+  /// Copies the published epoch pointer, timing the copy into
+  /// service.epoch.pin_ns.
+  Result<std::shared_ptr<const TenantEpoch>> Pin() const {
+    const auto start = std::chrono::steady_clock::now();
+    std::shared_ptr<const TenantEpoch> pinned;
+    {
+      std::lock_guard<std::mutex> lock(epoch_mu);
+      pinned = epoch;
     }
+    if (pin_histogram != nullptr) pin_histogram->Record(ElapsedNs(start));
+    if (pinned == nullptr) {
+      return Status::Internal("tenant '" + name + "' has no published epoch");
+    }
+    return pinned;
   }
 
-  ~RequestGuard() {
-    if (!owner_) return;
-    ctx_.finish_ns = service_->NowNs();
-    RequestRecord record;
-    record.id = ctx_.id;
-    record.tenant = ctx_.tenant;
-    record.verb = ctx_.verb;
-    record.status = ctx_.status;
-    record.enqueue_ns = ctx_.enqueue_ns;
-    record.start_ns = ctx_.start_ns;
-    record.finish_ns = ctx_.finish_ns;
-    record.pages = ctx_.pages;
-    record.partitions_pruned = ctx_.partitions_pruned;
-    service_->recorder_.Record(record);
-    if (ctx_.tenant != kNoTenant) {
-      const Result<Tenant*> tenant = service_->Find(ctx_.tenant);
-      if (tenant.ok()) {
-        tenant.value()->slo.Record(ctx_.verb, record.compute_ns(),
-                                   ctx_.status != StatusCode::kOk);
+  /// What StatusOf and the `status` verb report.
+  TenantStatus Describe() const {
+    TenantStatus status;
+    status.id = id;
+    status.name = name;
+    {
+      std::lock_guard<std::mutex> lock(state_mu);
+      status.epochs_closed = epochs_closed;
+      status.ingested_total = ingested_total;
+      status.ingested_this_epoch = pending_ingests;
+      status.cost_model = cost_model->name();
+    }
+    {
+      std::lock_guard<std::mutex> lock(epoch_mu);
+      status.published_sequence = published_sequence;
+    }
+    {
+      std::lock_guard<std::mutex> lock(recluster_mu);
+      status.recluster_epochs = engine.epochs_seen();
+      status.recluster_adoptions = engine.adoptions();
+      status.backend = StorageBackendKindName(engine.backend_kind());
+      if (engine.current() != nullptr) {
+        status.current_strategy = engine.current()->name();
       }
     }
-    if (service_->requests_completed_ != nullptr) {
-      service_->requests_completed_->Inc();
-      if (ctx_.status != StatusCode::kOk) service_->requests_errors_->Inc();
-    }
+    return status;
   }
-
- private:
-  static RequestContext MakeContext(AdvisorService* service, RequestVerb verb,
-                                    bool owner) {
-    RequestContext ctx;
-    if (!owner) return ctx;
-    ctx.id = service->next_request_id_.fetch_add(1, std::memory_order_relaxed);
-    ctx.verb = verb;
-    ctx.start_ns = service->NowNs();
-    // A batched request left its submit time in the thread-local; a direct
-    // sync call was never queued, so enqueue == start.
-    ctx.enqueue_ns =
-        tls_pending_enqueue_ns != 0 ? tls_pending_enqueue_ns : ctx.start_ns;
-    tls_pending_enqueue_ns = 0;
-    return ctx;
-  }
-
-  AdvisorService* service_;
-  const bool owner_;
-  RequestContext ctx_;
-  // Order matters: the scope must be active before the span opens (the span
-  // reads Current() for its "rid" arg) and must outlive it.
-  RequestContextScope scope_;
-  ScopedSpan span_;
 };
 
 AdvisorService::AdvisorService(ServiceConfig config)
@@ -314,13 +345,19 @@ Result<AdvisorService::Tenant*> AdvisorService::Find(TenantId id) const {
   return tenants_[id].get();
 }
 
-Result<TenantId> AdvisorService::FindTenant(std::string_view name) const {
+Result<AdvisorService::Tenant*> AdvisorService::Find(
+    std::string_view name) const {
   std::lock_guard<std::mutex> lock(tenants_mu_);
   const auto it = by_name_.find(std::string(name));
   if (it == by_name_.end()) {
     return Status::NotFound("no tenant named '" + std::string(name) + "'");
   }
-  return it->second;
+  return tenants_[it->second].get();
+}
+
+Result<TenantId> AdvisorService::FindTenant(std::string_view name) const {
+  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(name));
+  return tenant->id;
 }
 
 uint64_t AdvisorService::num_tenants() const {
@@ -328,86 +365,599 @@ uint64_t AdvisorService::num_tenants() const {
   return tenants_.size();
 }
 
-Result<TenantId> AdvisorService::RegisterTenant(TenantSpec spec) {
-  RequestGuard guard(this, RequestVerb::kRegister);
-  Result<TenantId> out = RegisterTenantImpl(std::move(spec));
-  guard.Finish(out.status());
+Result<AdvisorService::Reply> AdvisorService::Handle(Request request,
+                                                     uint64_t enqueue_ns) {
+  // The request's context is this thread's current one until Handle returns,
+  // so every span under it carries its "rid" (the "request/<verb>" span
+  // reads it, hence the order).
+  RequestContext ctx{
+      .id = next_request_id_.fetch_add(1, std::memory_order_relaxed),
+      .verb = request.verb,
+      .enqueue_ns = enqueue_ns,
+      .start_ns = NowNs()};
+  const RequestContextScope scope(&ctx);
+  const ScopedSpan request_span(
+      config_.obs.tracer,
+      std::string("request/") + RequestVerbName(request.verb), "request");
+  Tenant* tenant = nullptr;  // once the request resolves its tenant
+  Result<Reply> out = [&]() -> Result<Reply> {
+    if (auto* spec = std::get_if<TenantSpec>(&request.arg)) {
+      ScopedSpan span(config_.obs.tracer,
+                      kServiceSpanNames[static_cast<int>(request.verb)],
+                      "service");
+      if (spec->name.empty()) {
+        return Status::InvalidArgument("tenant name must be non-empty");
+      }
+      if (spec->schema == nullptr) {
+        return Status::InvalidArgument("tenant schema must be non-null");
+      }
+      if (spec->facts != nullptr &&
+          &spec->facts->schema() != spec->schema.get()) {
+        return Status::InvalidArgument(
+            "tenant fact table belongs to a different schema");
+      }
+      if (!spec->tables.empty() &&
+          spec->tables.size() !=
+              static_cast<size_t>(spec->schema->num_dims())) {
+        return Status::InvalidArgument(
+            "tenant needs one dimension table per schema dimension (got " +
+            std::to_string(spec->tables.size()) + " for " +
+            std::to_string(spec->schema->num_dims()) + " dims)");
+      }
+      // A taken name fails before the advise and the pack; the insert below
+      // re-checks under tenants_mu_ for concurrent registrations.
+      if (Find(spec->name).ok()) return AlreadyRegistered(spec->name);
+      span.AddArg("tenant", spec->name);
+
+      ReclusterConfig engine_config = config_.recluster;
+      engine_config.storage = config_.storage;
+      engine_config.backend = spec->backend;
+      engine_config.obs = config_.obs;
+      SNAKES_ASSIGN_OR_RETURN(engine_config.cost_model,
+                              MakeCostModel(spec->cost_model));
+      span.AddArg("cost_model", engine_config.cost_model->name());
+
+      const QueryClassLattice lattice(*spec->schema);
+      Workload initial = spec->initial_workload.has_value()
+                             ? *spec->initial_workload
+                             : Workload::Uniform(lattice);
+      if (initial.size() != lattice.size()) {
+        return Status::InvalidArgument(
+            "initial workload lattice does not match the tenant schema");
+      }
+
+      auto owned = std::make_unique<Tenant>(0, std::move(*spec), engine_config,
+                                            config_.window_epochs,
+                                            config_.telemetry.slo_buckets);
+      Tenant* t = owned.get();
+      SNAKES_RETURN_IF_ERROR(t->window.Observe(initial));
+
+      // Advise + pack + publish epoch 1 before the tenant becomes visible,
+      // so a registered tenant always serves from a live epoch.
+      EpochReport initial_report;
+      {
+        std::lock_guard<std::mutex> lock(t->recluster_mu);
+        SNAKES_ASSIGN_OR_RETURN(initial_report, t->engine.OnEpoch(initial));
+        Publish(t, t->engine.current(), t->engine.current_backend());
+      }
+
+      std::lock_guard<std::mutex> lock(tenants_mu_);
+      if (by_name_.count(t->name) > 0) return AlreadyRegistered(t->name);
+      const TenantId id = tenants_.size();
+      t->id = id;
+      tenant = t;
+      ctx.tenant = id;
+      AuditDecision(t, initial_report);
+      if (config_.obs.metrics != nullptr) {
+        MetricsRegistry* metrics = config_.obs.metrics;
+        const std::string prefix = "service.tenant." + t->name;
+        t->requests_counter = metrics->GetCounter(prefix + ".requests");
+        t->ingested_counter = metrics->GetCounter(prefix + ".ingested");
+        t->reclusters_counter = metrics->GetCounter(prefix + ".reclusters");
+        t->pin_histogram = metrics->GetHistogram("service.epoch.pin_ns");
+        metrics->GetCounter("service.tenants")->Inc();
+      }
+      by_name_.emplace(t->name, id);
+      tenants_.push_back(std::move(owned));
+      return Reply{id};
+    }
+
+    const auto* text = std::get_if<Request::Text>(&request.arg);
+    SNAKES_ASSIGN_OR_RETURN(tenant, text != nullptr ? Find(text->tenant_name)
+                                                    : Find(request.tenant));
+    ctx.tenant = tenant->id;
+
+    // A textual request: parse the payload into the verb's typed argument.
+    // The verbs that only report on the tenant answer right here.
+    const bool textual = text != nullptr;
+    if (textual) {
+      const auto [word, payload] = SplitVerb(text->text);
+      switch (request.verb) {
+        case RequestVerb::kIngest:
+        case RequestVerb::kQuery:
+        case RequestVerb::kMeasure: {
+          if (tenant->tables.empty()) {
+            return Status::FailedPrecondition(
+                "tenant '" + tenant->name +
+                "' registered no dimension tables; textual queries are "
+                "disabled");
+          }
+          SNAKES_ASSIGN_OR_RETURN(
+              GridQuery query,
+              ParseGridQuery(*tenant->schema, tenant->tables, payload));
+          request.arg = query;  // ends `text`, `word` and `payload`
+          break;
+        }
+        case RequestVerb::kAdvise:
+        case RequestVerb::kEndEpoch:
+        case RequestVerb::kRecluster:
+          break;
+        case RequestVerb::kStatus:
+          return Reply{tenant->Describe().ToString()};
+        case RequestVerb::kBackend: {
+          if (payload.empty()) {
+            std::lock_guard<std::mutex> lock(tenant->recluster_mu);
+            return Reply{"backend " + std::string(StorageBackendKindName(
+                                          tenant->engine.backend_kind()))};
+          }
+          SNAKES_ASSIGN_OR_RETURN(StorageBackendKind kind,
+                                  ParseStorageBackendKind(payload));
+          request.arg = kind;
+          break;
+        }
+        case RequestVerb::kCostModel: {
+          //   costmodel                         -> report the live model
+          //   costmodel analytic|hdd|ssd        -> switch to a preset
+          //   costmodel calibrated <json|path>  -> load fitted coefficients
+          if (payload.empty()) {
+            std::lock_guard<std::mutex> lock(tenant->state_mu);
+            return Reply{"costmodel " + tenant->cost_model->name() + " " +
+                         tenant->cost_model->ToJson()};
+          }
+          const size_t space = payload.find(' ');
+          CostModelSpec spec;
+          SNAKES_ASSIGN_OR_RETURN(spec.kind,
+                                  ParseCostModelKind(payload.substr(0, space)));
+          if (space != std::string_view::npos) {
+            spec.calibrated_json =
+                std::string(TrimWhitespace(payload.substr(space + 1)));
+          }
+          request.arg = std::move(spec);
+          break;
+        }
+        case RequestVerb::kTelemetry:
+          // Service-wide telemetry, reachable from any registered tenant:
+          //   telemetry [json]   -> full snapshot as JSON
+          //   telemetry prom     -> Prometheus text exposition
+          //   telemetry recorder -> flight-recorder dump only
+          //   telemetry advance  -> rotate the SLO windows (sampler-less)
+          if (payload.empty() || payload == "json") {
+            return Reply{Telemetry().ToJson(/*pretty=*/true)};
+          }
+          if (payload == "prom" || payload == "prometheus") {
+            return Reply{Telemetry().ToPrometheus()};
+          }
+          if (payload == "recorder") {
+            return Reply{recorder_.ToJson(/*pretty=*/true)};
+          }
+          if (payload == "advance") {
+            AdvanceSloWindows();
+            return Reply{std::string("advanced slo windows")};
+          }
+          return Status::InvalidArgument("unknown telemetry format '" +
+                                         std::string(payload) + "'");
+        default:
+          return Status::InvalidArgument("unknown request verb '" +
+                                         std::string(word) + "'");
+      }
+    }
+
+    Reply reply;
+    {
+      ScopedSpan span(config_.obs.tracer,
+                      kServiceSpanNames[static_cast<int>(request.verb)],
+                      "service");
+      // Only a valid request counts against the tenant.
+      if (const auto* query = std::get_if<GridQuery>(&request.arg)) {
+        SNAKES_RETURN_IF_ERROR(ValidateQuery(*tenant->schema, *query));
+      }
+      std::shared_ptr<const CostModel> model;
+      if (const auto* spec = std::get_if<CostModelSpec>(&request.arg)) {
+        span.AddArg("tenant", tenant->name);
+        SNAKES_ASSIGN_OR_RETURN(model, MakeCostModel(*spec));
+        span.AddArg("cost_model", model->name());
+      }
+      if (!std::holds_alternative<Request::Background>(request.arg)) {
+        tenant->CountRequest();
+      }
+      switch (request.verb) {
+        case RequestVerb::kIngest: {
+          const GridQuery& query = std::get<GridQuery>(request.arg);
+          if (tenant->ingested_counter != nullptr) {
+            tenant->ingested_counter->Inc();
+          }
+          bool closed = false;
+          {
+            std::lock_guard<std::mutex> lock(tenant->state_mu);
+            tenant->pending[tenant->lattice.Index(query.cls)] += 1.0;
+            ++tenant->pending_ingests;
+            ++tenant->ingested_total;
+            if (config_.ingests_per_epoch > 0 &&
+                tenant->pending_ingests >= config_.ingests_per_epoch) {
+              SNAKES_RETURN_IF_ERROR(CloseEpochLocked(tenant));
+              closed = true;
+            }
+          }
+          if (closed) MaybeScheduleRecluster(tenant);
+          break;
+        }
+        case RequestVerb::kEndEpoch: {
+          {
+            std::lock_guard<std::mutex> lock(tenant->state_mu);
+            SNAKES_RETURN_IF_ERROR(CloseEpochLocked(tenant));
+            reply.body = tenant->epochs_closed;
+          }
+          MaybeScheduleRecluster(tenant);
+          break;
+        }
+        case RequestVerb::kAdvise: {
+          span.AddArg("tenant", tenant->name);
+          std::lock_guard<std::mutex> lock(tenant->state_mu);
+          EvaluationRequest advise{tenant->window.Smoothed()};
+          advise.strategies = config_.recluster.strategies;
+          advise.num_threads = 1;  // the request pool is the parallelism
+          advise.cost_mode = config_.recluster.cost_mode;
+          advise.obs = config_.obs;
+          advise.cost_model = tenant->cost_model;
+          SNAKES_ASSIGN_OR_RETURN(
+              reply.body,
+              tenant->advisor.AdviseIncremental(advise, &tenant->advise_state));
+          break;
+        }
+        case RequestVerb::kQuery:
+        case RequestVerb::kMeasure: {
+          SNAKES_ASSIGN_OR_RETURN(std::shared_ptr<const TenantEpoch> epoch,
+                                  tenant->Pin());
+          if (epoch->backend == nullptr) {
+            return Status::FailedPrecondition(
+                "tenant '" + tenant->name + "' is analytic (no fact table)");
+          }
+          const GridQuery& query = std::get<GridQuery>(request.arg);
+          PruneStats prune;
+          QueryIo io;
+          if (request.verb == RequestVerb::kQuery) {
+            const QueryEngine engine(*epoch->backend, config_.obs);
+            QueryAnswer answer = engine.Execute(query, &prune);
+            io = answer.io;
+            reply.body = std::move(answer);
+          } else {
+            const IoSimulator simulator(*epoch->backend, config_.obs);
+            io = simulator.Measure(query, &prune);
+            reply.body = io;
+          }
+          ctx.pages += io.pages;
+          ctx.partitions_pruned += prune.pruned;
+          break;
+        }
+        case RequestVerb::kRecluster: {
+          span.AddArg("tenant", tenant->name);
+          if (tenant->reclusters_counter != nullptr) {
+            tenant->reclusters_counter->Inc();
+          }
+          Workload mu = [&] {
+            std::lock_guard<std::mutex> lock(tenant->state_mu);
+            return tenant->window.Smoothed();
+          }();
+          std::lock_guard<std::mutex> lock(tenant->recluster_mu);
+          SNAKES_ASSIGN_OR_RETURN(EpochReport report,
+                                  tenant->engine.OnEpoch(mu));
+          AuditDecision(tenant, report);
+          if (report.decision == ReclusterDecision::kAdopt ||
+              report.decision == ReclusterDecision::kInitialAdopt) {
+            // Double-buffer publish: readers pinned to the previous epoch
+            // keep it alive; new pins see the fresh layout immediately.
+            Publish(tenant, tenant->engine.current(),
+                    tenant->engine.current_backend());
+          }
+          reply.body = std::move(report);
+          break;
+        }
+        case RequestVerb::kBackend: {
+          const StorageBackendKind kind =
+              std::get<StorageBackendKind>(request.arg);
+          span.AddArg("tenant", tenant->name);
+          span.AddArg("backend", StorageBackendKindName(kind));
+          std::lock_guard<std::mutex> lock(tenant->recluster_mu);
+          if (tenant->engine.backend_kind() == kind) break;
+          SNAKES_ASSIGN_OR_RETURN(std::shared_ptr<const StorageBackend> backend,
+                                  tenant->engine.SwitchBackend(kind));
+          if (tenant->engine.current() != nullptr) {
+            // Analytic tenants publish a null backend either way; fact-backed
+            // ones double-buffer the repacked representation exactly like an
+            // adoption.
+            Publish(tenant, tenant->engine.current(), std::move(backend));
+          }
+          break;
+        }
+        case RequestVerb::kCostModel: {
+          // Two consumers, two locks: the advise path reads under state_mu,
+          // the engine prices net benefit under recluster_mu. No cache is
+          // invalidated — per-class costs are model-independent, so the next
+          // warm advise still serves from the memo.
+          {
+            std::lock_guard<std::mutex> lock(tenant->state_mu);
+            tenant->cost_model = model;
+          }
+          {
+            std::lock_guard<std::mutex> lock(tenant->recluster_mu);
+            tenant->engine.SetCostModel(model);
+          }
+          if (config_.obs.metrics != nullptr) {
+            config_.obs.metrics->GetCounter("service.costmodel_switches")
+                ->Inc();
+          }
+          break;
+        }
+        default:  // the report-only verbs answered above
+          break;
+      }
+    }
+    if (!textual) return reply;
+
+    // A textual request gets its reply line.
+    switch (request.verb) {
+      case RequestVerb::kIngest:
+        return Reply{"ingested " + std::get<GridQuery>(request.arg).ToString()};
+      case RequestVerb::kEndEpoch:
+        return Reply{"closed epoch " +
+                     std::to_string(std::get<uint64_t>(reply.body))};
+      case RequestVerb::kAdvise: {
+        const auto& rec = std::get<Recommendation>(reply.body);
+        if (!rec.has_best()) {
+          return Status::InvalidArgument("no strategy applies to the schema");
+        }
+        return Reply{"best " + rec.best().name + " cost " +
+                     FormatDouble(rec.best().expected_cost, 4) + " (" +
+                     std::to_string(rec.ranked.size()) + " strategies)"};
+      }
+      case RequestVerb::kQuery: {
+        const auto& answer = std::get<QueryAnswer>(reply.body);
+        return Reply{"count " + std::to_string(answer.count) + " sum " +
+                     FormatDouble(answer.sum, 2) + " pages " +
+                     std::to_string(answer.io.pages) + " seeks " +
+                     std::to_string(answer.io.seeks)};
+      }
+      case RequestVerb::kMeasure: {
+        const auto& io = std::get<QueryIo>(reply.body);
+        return Reply{"records " + std::to_string(io.records) + " pages " +
+                     std::to_string(io.pages) + " seeks " +
+                     std::to_string(io.seeks)};
+      }
+      case RequestVerb::kRecluster: {
+        const auto& report = std::get<EpochReport>(reply.body);
+        return Reply{std::string(ReclusterDecisionName(report.decision)) +
+                     " " + report.proposed_strategy};
+      }
+      case RequestVerb::kBackend:
+        return Reply{"backend " + std::string(StorageBackendKindName(
+                                      std::get<StorageBackendKind>(
+                                          request.arg)))};
+      default:  // kCostModel
+        return Reply{
+            "costmodel " +
+            std::string(CostModelKindName(
+                std::get<CostModelSpec>(request.arg).kind))};
+    }
+  }();
+
+  // The completed request, recorded exactly once.
+  ctx.status = out.status().code();
+  ctx.finish_ns = NowNs();
+  const RequestRecord record{.id = ctx.id,
+                             .tenant = ctx.tenant,
+                             .verb = ctx.verb,
+                             .status = ctx.status,
+                             .enqueue_ns = ctx.enqueue_ns,
+                             .start_ns = ctx.start_ns,
+                             .finish_ns = ctx.finish_ns,
+                             .pages = ctx.pages,
+                             .partitions_pruned = ctx.partitions_pruned};
+  recorder_.Record(record);
+  if (tenant != nullptr) {
+    tenant->slo.Record(ctx.verb, record.compute_ns(),
+                       ctx.status != StatusCode::kOk);
+  }
+  if (requests_completed_ != nullptr) {
+    requests_completed_->Inc();
+    if (ctx.status != StatusCode::kOk) requests_errors_->Inc();
+  }
   return out;
 }
 
-Result<TenantId> AdvisorService::RegisterTenantImpl(TenantSpec spec) {
-  ScopedSpan span(config_.obs.tracer, "service/register", "service");
-  if (spec.name.empty()) {
-    return Status::InvalidArgument("tenant name must be non-empty");
+Status AdvisorService::CloseEpochLocked(Tenant* tenant) {
+  if (tenant->pending_ingests == 0) {
+    return Status::FailedPrecondition(
+        "tenant '" + tenant->name +
+        "': no queries ingested since the last epoch close");
   }
-  if (spec.schema == nullptr) {
-    return Status::InvalidArgument("tenant schema must be non-null");
-  }
-  if (spec.facts != nullptr && &spec.facts->schema() != spec.schema.get()) {
-    return Status::InvalidArgument(
-        "tenant fact table belongs to a different schema");
-  }
-  if (!spec.tables.empty() &&
-      spec.tables.size() != static_cast<size_t>(spec.schema->num_dims())) {
-    return Status::InvalidArgument(
-        "tenant needs one dimension table per schema dimension (got " +
-        std::to_string(spec.tables.size()) + " for " +
-        std::to_string(spec.schema->num_dims()) + " dims)");
-  }
-  span.AddArg("tenant", spec.name);
-
-  ReclusterConfig engine_config = config_.recluster;
-  engine_config.storage = config_.storage;
-  engine_config.backend = spec.backend;
-  engine_config.obs = config_.obs;
-  SNAKES_ASSIGN_OR_RETURN(engine_config.cost_model,
-                          MakeCostModel(spec.cost_model));
-  span.AddArg("cost_model", engine_config.cost_model->name());
-
-  const QueryClassLattice lattice(*spec.schema);
-  Workload initial = spec.initial_workload.has_value()
-                         ? *spec.initial_workload
-                         : Workload::Uniform(lattice);
-  if (initial.size() != lattice.size()) {
-    return Status::InvalidArgument(
-        "initial workload lattice does not match the tenant schema");
-  }
-
-  auto tenant = std::make_unique<Tenant>(0, std::move(spec), engine_config,
-                                         config_.window_epochs,
-                                         config_.telemetry.slo_buckets);
-  Tenant* t = tenant.get();
-  SNAKES_RETURN_IF_ERROR(t->window.Observe(initial));
-
-  // Advise + pack + publish epoch 1 before the tenant becomes visible, so a
-  // registered tenant always serves from a live epoch.
-  EpochReport initial_report;
-  {
-    std::lock_guard<std::mutex> lock(t->recluster_mu);
-    SNAKES_ASSIGN_OR_RETURN(initial_report, t->engine.OnEpoch(initial));
-    Publish(t, t->engine.current(), t->engine.current_backend());
-  }
-
-  std::lock_guard<std::mutex> lock(tenants_mu_);
-  if (by_name_.count(t->name) > 0) {
-    return Status::InvalidArgument("tenant '" + t->name +
-                                   "' is already registered");
-  }
-  const TenantId id = tenants_.size();
-  t->id = id;
-  TagRequestTenant(id);
-  AuditDecision(t, initial_report);
+  SNAKES_ASSIGN_OR_RETURN(
+      Workload epoch_mu_w,
+      Workload::FromDense(tenant->lattice, tenant->pending,
+                          /*normalize=*/true));
+  SNAKES_RETURN_IF_ERROR(tenant->window.Observe(epoch_mu_w));
+  std::fill(tenant->pending.begin(), tenant->pending.end(), 0.0);
+  tenant->pending_ingests = 0;
+  ++tenant->epochs_closed;
   if (config_.obs.metrics != nullptr) {
-    const std::string prefix = "service.tenant." + t->name;
-    t->requests_counter = config_.obs.metrics->GetCounter(prefix + ".requests");
-    t->ingested_counter = config_.obs.metrics->GetCounter(prefix + ".ingested");
-    t->reclusters_counter =
-        config_.obs.metrics->GetCounter(prefix + ".reclusters");
-    config_.obs.metrics->GetCounter("service.tenants")->Inc();
+    config_.obs.metrics->GetCounter("service.epochs_closed")->Inc();
+    config_.obs.metrics->GetGauge("service.window.last_drift")
+        ->Set(tenant->window.LastDrift());
   }
-  by_name_.emplace(t->name, id);
-  tenants_.push_back(std::move(tenant));
-  return id;
+  return Status::OK();
+}
+
+void AdvisorService::MaybeScheduleRecluster(Tenant* tenant) {
+  if (!config_.recluster_on_epoch_close) return;
+  MetricsRegistry* metrics = config_.obs.metrics;
+  // The background job is a request of its own: it gets the next id, its
+  // spans nest under "request/recluster", and its completion lands in the
+  // flight recorder like any foreground request.
+  auto submitted = background_pool_->TrySubmit(
+      [this, tenant, metrics, enqueue_ns = NowNs()]() {
+        const bool ok = Handle({RequestVerb::kRecluster, tenant->id,
+                                Request::Background{}},
+                               enqueue_ns)
+                            .ok();
+        tenant->reclusters_completed.fetch_add(1, std::memory_order_relaxed);
+        if (!ok && metrics != nullptr) {
+          metrics->GetCounter("service.recluster.errors")->Inc();
+        }
+      });
+  if (submitted.ok()) {
+    tenant->reclusters_scheduled.fetch_add(1, std::memory_order_relaxed);
+  } else if (metrics != nullptr) {
+    metrics->GetCounter("service.recluster.rejected")->Inc();
+  }
+}
+
+// ---- Request surfaces: each builds one Request for Handle ---------------
+
+Result<TenantId> AdvisorService::RegisterTenant(TenantSpec spec) {
+  return Reply::Unpack<Result<TenantId>>(Handle(
+      {RequestVerb::kRegister, kNoTenant, std::move(spec)}, NowNs()));
+}
+
+Status AdvisorService::Ingest(TenantId id, const GridQuery& query) {
+  return Reply::Unpack<Status>(
+      Handle({RequestVerb::kIngest, id, query}, NowNs()));
+}
+
+Result<uint64_t> AdvisorService::EndEpoch(TenantId id) {
+  return Reply::Unpack<Result<uint64_t>>(
+      Handle({RequestVerb::kEndEpoch, id, {}}, NowNs()));
+}
+
+Result<Recommendation> AdvisorService::Advise(TenantId id) {
+  return Reply::Unpack<Result<Recommendation>>(
+      Handle({RequestVerb::kAdvise, id, {}}, NowNs()));
+}
+
+Result<QueryAnswer> AdvisorService::Query(TenantId id, const GridQuery& query) {
+  return Reply::Unpack<Result<QueryAnswer>>(
+      Handle({RequestVerb::kQuery, id, query}, NowNs()));
+}
+
+Result<QueryIo> AdvisorService::Measure(TenantId id, const GridQuery& query) {
+  return Reply::Unpack<Result<QueryIo>>(
+      Handle({RequestVerb::kMeasure, id, query}, NowNs()));
+}
+
+Result<EpochReport> AdvisorService::ReclusterNow(TenantId id) {
+  return Reply::Unpack<Result<EpochReport>>(
+      Handle({RequestVerb::kRecluster, id, {}}, NowNs()));
+}
+
+Status AdvisorService::SetBackend(TenantId id, StorageBackendKind kind) {
+  return Reply::Unpack<Status>(
+      Handle({RequestVerb::kBackend, id, kind}, NowNs()));
+}
+
+Status AdvisorService::SetCostModel(TenantId id, const CostModelSpec& spec) {
+  return Reply::Unpack<Status>(
+      Handle({RequestVerb::kCostModel, id, spec}, NowNs()));
+}
+
+Result<std::string> AdvisorService::Dispatch(std::string_view tenant_name,
+                                             std::string_view request) {
+  return Reply::Unpack<Result<std::string>>(
+      Handle(Request::FromText(std::string(tenant_name), std::string(request)),
+             NowNs()));
+}
+
+template <typename R>
+std::future<R> AdvisorService::Enqueue(ThreadPool* pool, const char* type,
+                                       Request request) {
+  Histogram* queue_hist = nullptr;
+  Histogram* compute_hist = nullptr;
+  if (config_.obs.metrics != nullptr) {
+    const std::string prefix = std::string("service.") + type;
+    queue_hist = config_.obs.metrics->GetHistogram(prefix + ".queue_ns");
+    compute_hist = config_.obs.metrics->GetHistogram(prefix + ".compute_ns");
+  }
+  auto accepted = pool->TrySubmit(
+      [this, enqueue_ns = NowNs(), queue_hist, compute_hist,
+       request = std::move(request)]() mutable -> R {
+        const uint64_t start_ns = NowNs();
+        if (queue_hist != nullptr) queue_hist->Record(start_ns - enqueue_ns);
+        R out = Reply::Unpack<R>(Handle(std::move(request), enqueue_ns));
+        if (compute_hist != nullptr) compute_hist->Record(NowNs() - start_ns);
+        return out;
+      });
+  if (accepted.ok()) return std::move(accepted).value();
+  std::promise<R> rejected;
+  rejected.set_value(R(Status::FailedPrecondition(
+      std::string("service: ") + type + " submitted after Shutdown()")));
+  return rejected.get_future();
+}
+
+std::future<Status> AdvisorService::SubmitIngest(TenantId id, GridQuery query) {
+  return Enqueue<Status>(request_pool_.get(), "ingest",
+                         {RequestVerb::kIngest, id, std::move(query)});
+}
+
+std::future<Result<uint64_t>> AdvisorService::SubmitEndEpoch(TenantId id) {
+  return Enqueue<Result<uint64_t>>(request_pool_.get(), "end_epoch",
+                                   {RequestVerb::kEndEpoch, id, {}});
+}
+
+std::future<Result<Recommendation>> AdvisorService::SubmitAdvise(TenantId id) {
+  return Enqueue<Result<Recommendation>>(request_pool_.get(), "advise",
+                                         {RequestVerb::kAdvise, id, {}});
+}
+
+std::future<Result<QueryAnswer>> AdvisorService::SubmitQuery(TenantId id,
+                                                             GridQuery query) {
+  return Enqueue<Result<QueryAnswer>>(
+      request_pool_.get(), "query",
+      {RequestVerb::kQuery, id, std::move(query)});
+}
+
+std::future<Result<QueryIo>> AdvisorService::SubmitMeasure(TenantId id,
+                                                           GridQuery query) {
+  return Enqueue<Result<QueryIo>>(
+      request_pool_.get(), "measure",
+      {RequestVerb::kMeasure, id, std::move(query)});
+}
+
+std::future<Result<EpochReport>> AdvisorService::SubmitRecluster(TenantId id) {
+  return Enqueue<Result<EpochReport>>(background_pool_.get(), "recluster",
+                                      {RequestVerb::kRecluster, id, {}});
+}
+
+std::future<Result<std::string>> AdvisorService::SubmitDispatch(
+    std::string tenant_name, std::string request) {
+  return Enqueue<Result<std::string>>(
+      request_pool_.get(), "dispatch",
+      Request::FromText(std::move(tenant_name), std::move(request)));
+}
+
+// ---- Introspection (not recorded as requests) ----------------------------
+
+Result<std::shared_ptr<const TenantEpoch>> AdvisorService::PinEpoch(
+    TenantId id) const {
+  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
+  return tenant->Pin();
+}
+
+Result<Workload> AdvisorService::SmoothedWorkload(TenantId id) const {
+  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
+  std::lock_guard<std::mutex> lock(tenant->state_mu);
+  return tenant->window.Smoothed();
+}
+
+Result<TenantStatus> AdvisorService::StatusOf(TenantId id) const {
+  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
+  return tenant->Describe();
 }
 
 void AdvisorService::AuditDecision(const Tenant* tenant,
@@ -447,561 +997,6 @@ void AdvisorService::Publish(Tenant* tenant,
   if (config_.obs.metrics != nullptr) {
     config_.obs.metrics->GetCounter("service.epochs_published")->Inc();
   }
-}
-
-Result<std::shared_ptr<const TenantEpoch>> AdvisorService::PinEpoch(
-    TenantId id) const {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  const auto start = std::chrono::steady_clock::now();
-  std::shared_ptr<const TenantEpoch> pinned;
-  {
-    std::lock_guard<std::mutex> lock(tenant->epoch_mu);
-    pinned = tenant->epoch;
-  }
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->GetHistogram("service.epoch.pin_ns")
-        ->Record(ElapsedNs(start));
-  }
-  if (pinned == nullptr) {
-    return Status::Internal("tenant '" + tenant->name +
-                            "' has no published epoch");
-  }
-  return pinned;
-}
-
-Result<Workload> AdvisorService::SmoothedWorkload(TenantId id) const {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  std::lock_guard<std::mutex> lock(tenant->state_mu);
-  return tenant->window.Smoothed();
-}
-
-Status AdvisorService::Ingest(TenantId id, const GridQuery& query) {
-  RequestGuard guard(this, RequestVerb::kIngest);
-  const Status out = IngestImpl(id, query);
-  guard.Finish(out);
-  return out;
-}
-
-Status AdvisorService::IngestImpl(TenantId id, const GridQuery& query) {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
-  ScopedSpan span(config_.obs.tracer, "service/ingest", "service");
-  SNAKES_RETURN_IF_ERROR(ValidateQuery(*tenant->schema, query));
-  tenant->CountRequest();
-  if (tenant->ingested_counter != nullptr) tenant->ingested_counter->Inc();
-  bool closed = false;
-  {
-    std::lock_guard<std::mutex> lock(tenant->state_mu);
-    tenant->pending[tenant->lattice.Index(query.cls)] += 1.0;
-    ++tenant->pending_ingests;
-    ++tenant->ingested_total;
-    if (config_.ingests_per_epoch > 0 &&
-        tenant->pending_ingests >= config_.ingests_per_epoch) {
-      const Result<Workload> closed_epoch = CloseEpochLocked(tenant);
-      if (!closed_epoch.ok()) return closed_epoch.status();
-      closed = true;
-    }
-  }
-  if (closed) MaybeScheduleRecluster(id);
-  return Status::OK();
-}
-
-Result<Workload> AdvisorService::CloseEpochLocked(Tenant* tenant) {
-  if (tenant->pending_ingests == 0) {
-    return Status::FailedPrecondition(
-        "tenant '" + tenant->name +
-        "': no queries ingested since the last epoch close");
-  }
-  SNAKES_ASSIGN_OR_RETURN(
-      Workload epoch_mu_w,
-      Workload::FromDense(tenant->lattice, tenant->pending,
-                          /*normalize=*/true));
-  SNAKES_RETURN_IF_ERROR(tenant->window.Observe(epoch_mu_w));
-  std::fill(tenant->pending.begin(), tenant->pending.end(), 0.0);
-  tenant->pending_ingests = 0;
-  ++tenant->epochs_closed;
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->GetCounter("service.epochs_closed")->Inc();
-    config_.obs.metrics->GetGauge("service.window.last_drift")
-        ->Set(tenant->window.LastDrift());
-  }
-  return epoch_mu_w;
-}
-
-Result<uint64_t> AdvisorService::EndEpoch(TenantId id) {
-  RequestGuard guard(this, RequestVerb::kEndEpoch);
-  Result<uint64_t> out = EndEpochImpl(id);
-  guard.Finish(out.status());
-  return out;
-}
-
-Result<uint64_t> AdvisorService::EndEpochImpl(TenantId id) {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
-  ScopedSpan span(config_.obs.tracer, "service/end_epoch", "service");
-  tenant->CountRequest();
-  uint64_t closed_count = 0;
-  {
-    std::lock_guard<std::mutex> lock(tenant->state_mu);
-    const Result<Workload> closed_epoch = CloseEpochLocked(tenant);
-    if (!closed_epoch.ok()) return closed_epoch.status();
-    closed_count = tenant->epochs_closed;
-  }
-  MaybeScheduleRecluster(id);
-  return closed_count;
-}
-
-void AdvisorService::MaybeScheduleRecluster(TenantId id) {
-  if (!config_.recluster_on_epoch_close) return;
-  MetricsRegistry* metrics = config_.obs.metrics;
-  auto submitted = background_pool_->TrySubmit([this, id, metrics]() {
-    // The background job is a request of its own: it gets the next id, its
-    // spans nest under "request/recluster", and its completion lands in the
-    // flight recorder like any foreground request.
-    RequestGuard guard(this, RequestVerb::kRecluster);
-    auto tenant = Find(id);
-    if (!tenant.ok()) {
-      guard.Finish(tenant.status());
-      return;
-    }
-    TagRequestTenant(id);
-    const auto report = RunRecluster(tenant.value());
-    guard.Finish(report.status());
-    tenant.value()->reclusters_completed.fetch_add(1,
-                                                   std::memory_order_relaxed);
-    if (!report.ok() && metrics != nullptr) {
-      metrics->GetCounter("service.recluster.errors")->Inc();
-    }
-  });
-  if (submitted.ok()) {
-    const auto tenant = Find(id);
-    if (tenant.ok()) {
-      tenant.value()->reclusters_scheduled.fetch_add(
-          1, std::memory_order_relaxed);
-    }
-  } else if (metrics != nullptr) {
-    metrics->GetCounter("service.recluster.rejected")->Inc();
-  }
-}
-
-Result<EpochReport> AdvisorService::RunRecluster(Tenant* tenant) {
-  ScopedSpan span(config_.obs.tracer, "service/recluster", "service");
-  span.AddArg("tenant", tenant->name);
-  if (tenant->reclusters_counter != nullptr) tenant->reclusters_counter->Inc();
-  Workload mu = [&] {
-    std::lock_guard<std::mutex> lock(tenant->state_mu);
-    return tenant->window.Smoothed();
-  }();
-  std::lock_guard<std::mutex> lock(tenant->recluster_mu);
-  SNAKES_ASSIGN_OR_RETURN(EpochReport report, tenant->engine.OnEpoch(mu));
-  AuditDecision(tenant, report);
-  if (report.decision == ReclusterDecision::kAdopt ||
-      report.decision == ReclusterDecision::kInitialAdopt) {
-    // Double-buffer publish: readers pinned to the previous epoch keep it
-    // alive; new pins see the fresh layout immediately.
-    Publish(tenant, tenant->engine.current(),
-            tenant->engine.current_backend());
-  }
-  return report;
-}
-
-Result<EpochReport> AdvisorService::ReclusterNow(TenantId id) {
-  RequestGuard guard(this, RequestVerb::kRecluster);
-  Result<EpochReport> out = ReclusterNowImpl(id);
-  guard.Finish(out.status());
-  return out;
-}
-
-Result<EpochReport> AdvisorService::ReclusterNowImpl(TenantId id) {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
-  tenant->CountRequest();
-  return RunRecluster(tenant);
-}
-
-Status AdvisorService::SetBackend(TenantId id, StorageBackendKind kind) {
-  RequestGuard guard(this, RequestVerb::kBackend);
-  const Status out = SetBackendImpl(id, kind);
-  guard.Finish(out);
-  return out;
-}
-
-Status AdvisorService::SetBackendImpl(TenantId id, StorageBackendKind kind) {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
-  ScopedSpan span(config_.obs.tracer, "service/set_backend", "service");
-  span.AddArg("tenant", tenant->name);
-  span.AddArg("backend", StorageBackendKindName(kind));
-  tenant->CountRequest();
-  std::lock_guard<std::mutex> lock(tenant->recluster_mu);
-  if (tenant->engine.backend_kind() == kind) return Status::OK();
-  SNAKES_ASSIGN_OR_RETURN(std::shared_ptr<const StorageBackend> backend,
-                          tenant->engine.SwitchBackend(kind));
-  if (tenant->engine.current() != nullptr) {
-    // Analytic tenants publish a null backend either way; fact-backed ones
-    // double-buffer the repacked representation exactly like an adoption.
-    Publish(tenant, tenant->engine.current(), std::move(backend));
-  }
-  return Status::OK();
-}
-
-Status AdvisorService::SetCostModel(TenantId id, const CostModelSpec& spec) {
-  RequestGuard guard(this, RequestVerb::kCostModel);
-  const Status out = SetCostModelImpl(id, spec);
-  guard.Finish(out);
-  return out;
-}
-
-Status AdvisorService::SetCostModelImpl(TenantId id,
-                                        const CostModelSpec& spec) {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
-  ScopedSpan span(config_.obs.tracer, "service/set_cost_model", "service");
-  span.AddArg("tenant", tenant->name);
-  SNAKES_ASSIGN_OR_RETURN(std::shared_ptr<const CostModel> model,
-                          MakeCostModel(spec));
-  span.AddArg("cost_model", model->name());
-  tenant->CountRequest();
-  // Two consumers, two locks: the advise path reads under state_mu, the
-  // engine prices net benefit under recluster_mu. No cache is invalidated —
-  // per-class costs are model-independent, so the next warm advise still
-  // serves from the memo.
-  {
-    std::lock_guard<std::mutex> lock(tenant->state_mu);
-    tenant->cost_model = model;
-  }
-  {
-    std::lock_guard<std::mutex> lock(tenant->recluster_mu);
-    tenant->engine.SetCostModel(model);
-  }
-  if (config_.obs.metrics != nullptr) {
-    config_.obs.metrics->GetCounter("service.costmodel_switches")->Inc();
-  }
-  return Status::OK();
-}
-
-Result<Recommendation> AdvisorService::Advise(TenantId id) {
-  RequestGuard guard(this, RequestVerb::kAdvise);
-  Result<Recommendation> out = AdviseImpl(id);
-  guard.Finish(out.status());
-  return out;
-}
-
-Result<Recommendation> AdvisorService::AdviseImpl(TenantId id) {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
-  ScopedSpan span(config_.obs.tracer, "service/advise", "service");
-  span.AddArg("tenant", tenant->name);
-  tenant->CountRequest();
-  std::lock_guard<std::mutex> lock(tenant->state_mu);
-  EvaluationRequest request{tenant->window.Smoothed()};
-  request.strategies = config_.recluster.strategies;
-  request.num_threads = 1;  // the request pool is the parallelism
-  request.cost_mode = config_.recluster.cost_mode;
-  request.obs = config_.obs;
-  request.cost_model = tenant->cost_model;
-  return tenant->advisor.AdviseIncremental(request, &tenant->advise_state);
-}
-
-Result<QueryAnswer> AdvisorService::Query(TenantId id, const GridQuery& query) {
-  RequestGuard guard(this, RequestVerb::kQuery);
-  Result<QueryAnswer> out = QueryImpl(id, query);
-  guard.Finish(out.status());
-  return out;
-}
-
-Result<QueryAnswer> AdvisorService::QueryImpl(TenantId id,
-                                              const GridQuery& query) {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
-  ScopedSpan span(config_.obs.tracer, "service/query", "service");
-  SNAKES_RETURN_IF_ERROR(ValidateQuery(*tenant->schema, query));
-  tenant->CountRequest();
-  SNAKES_ASSIGN_OR_RETURN(std::shared_ptr<const TenantEpoch> epoch,
-                          PinEpoch(id));
-  if (epoch->backend == nullptr) {
-    return Status::FailedPrecondition("tenant '" + tenant->name +
-                                      "' is analytic (no fact table)");
-  }
-  const QueryEngine engine(*epoch->backend, config_.obs);
-  PruneStats prune;
-  const QueryAnswer answer = engine.Execute(query, &prune);
-  if (RequestContext* ctx = RequestContext::Current()) {
-    ctx->pages += answer.io.pages;
-    ctx->partitions_pruned += prune.pruned;
-  }
-  return answer;
-}
-
-Result<QueryIo> AdvisorService::Measure(TenantId id, const GridQuery& query) {
-  RequestGuard guard(this, RequestVerb::kMeasure);
-  Result<QueryIo> out = MeasureImpl(id, query);
-  guard.Finish(out.status());
-  return out;
-}
-
-Result<QueryIo> AdvisorService::MeasureImpl(TenantId id,
-                                            const GridQuery& query) {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
-  ScopedSpan span(config_.obs.tracer, "service/measure", "service");
-  SNAKES_RETURN_IF_ERROR(ValidateQuery(*tenant->schema, query));
-  tenant->CountRequest();
-  SNAKES_ASSIGN_OR_RETURN(std::shared_ptr<const TenantEpoch> epoch,
-                          PinEpoch(id));
-  if (epoch->backend == nullptr) {
-    return Status::FailedPrecondition("tenant '" + tenant->name +
-                                      "' is analytic (no fact table)");
-  }
-  const IoSimulator simulator(*epoch->backend, config_.obs);
-  PruneStats prune;
-  const QueryIo io = simulator.Measure(query, &prune);
-  if (RequestContext* ctx = RequestContext::Current()) {
-    ctx->pages += io.pages;
-    ctx->partitions_pruned += prune.pruned;
-  }
-  return io;
-}
-
-Result<TenantStatus> AdvisorService::StatusOf(TenantId id) const {
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
-  TenantStatus status;
-  status.id = tenant->id;
-  status.name = tenant->name;
-  {
-    std::lock_guard<std::mutex> lock(tenant->state_mu);
-    status.epochs_closed = tenant->epochs_closed;
-    status.ingested_total = tenant->ingested_total;
-    status.ingested_this_epoch = tenant->pending_ingests;
-    status.cost_model = tenant->cost_model->name();
-  }
-  {
-    std::lock_guard<std::mutex> lock(tenant->epoch_mu);
-    status.published_sequence = tenant->published_sequence;
-  }
-  {
-    std::lock_guard<std::mutex> lock(tenant->recluster_mu);
-    status.recluster_epochs = tenant->engine.epochs_seen();
-    status.recluster_adoptions = tenant->engine.adoptions();
-    status.backend = StorageBackendKindName(tenant->engine.backend_kind());
-    if (tenant->engine.current() != nullptr) {
-      status.current_strategy = tenant->engine.current()->name();
-    }
-  }
-  return status;
-}
-
-// ---- Batched request surface ------------------------------------------
-
-template <typename R>
-std::future<R> AdvisorService::SubmitInstrumented(ThreadPool* pool,
-                                                  const char* type,
-                                                  std::function<R()> fn) {
-  Histogram* queue_hist = nullptr;
-  Histogram* compute_hist = nullptr;
-  if (config_.obs.metrics != nullptr) {
-    const std::string prefix = std::string("service.") + type;
-    queue_hist = config_.obs.metrics->GetHistogram(prefix + ".queue_ns");
-    compute_hist = config_.obs.metrics->GetHistogram(prefix + ".compute_ns");
-  }
-  const auto submitted = std::chrono::steady_clock::now();
-  const uint64_t enqueue_ns = NowNs();
-  auto accepted = pool->TrySubmit(
-      [submitted, enqueue_ns, queue_hist, compute_hist,
-       fn = std::move(fn)]() -> R {
-        const auto start = std::chrono::steady_clock::now();
-        if (queue_hist != nullptr) queue_hist->Record(ElapsedNs(submitted));
-        // Leave the submit time for the RequestGuard the handler constructs,
-        // so batched requests record a real queue wait.
-        tls_pending_enqueue_ns = enqueue_ns;
-        R out = fn();
-        tls_pending_enqueue_ns = 0;
-        if (compute_hist != nullptr) compute_hist->Record(ElapsedNs(start));
-        return out;
-      });
-  if (accepted.ok()) return std::move(accepted).value();
-  std::promise<R> rejected;
-  rejected.set_value(R(Status::FailedPrecondition(
-      std::string("service: ") + type + " submitted after Shutdown()")));
-  return rejected.get_future();
-}
-
-std::future<Status> AdvisorService::SubmitIngest(TenantId id, GridQuery query) {
-  return SubmitInstrumented<Status>(
-      request_pool_.get(), "ingest",
-      [this, id, query = std::move(query)]() { return Ingest(id, query); });
-}
-
-std::future<Result<uint64_t>> AdvisorService::SubmitEndEpoch(TenantId id) {
-  return SubmitInstrumented<Result<uint64_t>>(
-      request_pool_.get(), "end_epoch", [this, id]() { return EndEpoch(id); });
-}
-
-std::future<Result<Recommendation>> AdvisorService::SubmitAdvise(TenantId id) {
-  return SubmitInstrumented<Result<Recommendation>>(
-      request_pool_.get(), "advise", [this, id]() { return Advise(id); });
-}
-
-std::future<Result<QueryAnswer>> AdvisorService::SubmitQuery(TenantId id,
-                                                             GridQuery query) {
-  return SubmitInstrumented<Result<QueryAnswer>>(
-      request_pool_.get(), "query",
-      [this, id, query = std::move(query)]() { return Query(id, query); });
-}
-
-std::future<Result<QueryIo>> AdvisorService::SubmitMeasure(TenantId id,
-                                                           GridQuery query) {
-  return SubmitInstrumented<Result<QueryIo>>(
-      request_pool_.get(), "measure",
-      [this, id, query = std::move(query)]() { return Measure(id, query); });
-}
-
-std::future<Result<EpochReport>> AdvisorService::SubmitRecluster(TenantId id) {
-  return SubmitInstrumented<Result<EpochReport>>(
-      background_pool_.get(), "recluster",
-      [this, id]() { return ReclusterNow(id); });
-}
-
-std::future<Result<std::string>> AdvisorService::SubmitDispatch(
-    std::string tenant_name, std::string request) {
-  return SubmitInstrumented<Result<std::string>>(
-      request_pool_.get(), "dispatch",
-      [this, tenant_name = std::move(tenant_name),
-       request = std::move(request)]() {
-        return Dispatch(tenant_name, request);
-      });
-}
-
-// ---- Textual surface ---------------------------------------------------
-
-Result<std::string> AdvisorService::Dispatch(std::string_view tenant_name,
-                                             std::string_view request) {
-  const std::string_view trimmed = TrimWhitespace(request);
-  const size_t space = trimmed.find(' ');
-  const std::string_view verb = trimmed.substr(0, space);
-  const std::string_view payload =
-      space == std::string_view::npos
-          ? std::string_view{}
-          : TrimWhitespace(trimmed.substr(space + 1));
-  // The verb is parsed before the guard so the recorded request carries it
-  // even when the tenant lookup (or the request itself) fails.
-  RequestGuard guard(this, ParseRequestVerb(verb));
-  Result<std::string> out = DispatchImpl(tenant_name, verb, payload);
-  guard.Finish(out.status());
-  return out;
-}
-
-Result<std::string> AdvisorService::DispatchImpl(std::string_view tenant_name,
-                                                 std::string_view verb,
-                                                 std::string_view payload) {
-  SNAKES_ASSIGN_OR_RETURN(TenantId id, FindTenant(tenant_name));
-  SNAKES_ASSIGN_OR_RETURN(Tenant * tenant, Find(id));
-  TagRequestTenant(id);
-
-  const auto parse_query = [&]() -> Result<GridQuery> {
-    if (tenant->tables.empty()) {
-      return Status::FailedPrecondition(
-          "tenant '" + tenant->name +
-          "' registered no dimension tables; textual queries are disabled");
-    }
-    return ParseGridQuery(*tenant->schema, tenant->tables, payload);
-  };
-
-  if (verb == "advise") {
-    SNAKES_ASSIGN_OR_RETURN(Recommendation rec, Advise(id));
-    if (!rec.has_best()) {
-      return Status::InvalidArgument("no strategy applies to the schema");
-    }
-    return "best " + rec.best().name + " cost " +
-           FormatDouble(rec.best().expected_cost, 4) + " (" +
-           std::to_string(rec.ranked.size()) + " strategies)";
-  }
-  if (verb == "ingest") {
-    SNAKES_ASSIGN_OR_RETURN(GridQuery query, parse_query());
-    SNAKES_RETURN_IF_ERROR(Ingest(id, query));
-    return std::string("ingested " + query.ToString());
-  }
-  if (verb == "query") {
-    SNAKES_ASSIGN_OR_RETURN(GridQuery query, parse_query());
-    SNAKES_ASSIGN_OR_RETURN(QueryAnswer answer, Query(id, query));
-    return "count " + std::to_string(answer.count) + " sum " +
-           FormatDouble(answer.sum, 2) + " pages " +
-           std::to_string(answer.io.pages) + " seeks " +
-           std::to_string(answer.io.seeks);
-  }
-  if (verb == "measure") {
-    SNAKES_ASSIGN_OR_RETURN(GridQuery query, parse_query());
-    SNAKES_ASSIGN_OR_RETURN(QueryIo io, Measure(id, query));
-    return "records " + std::to_string(io.records) + " pages " +
-           std::to_string(io.pages) + " seeks " + std::to_string(io.seeks);
-  }
-  if (verb == "end-epoch") {
-    SNAKES_ASSIGN_OR_RETURN(uint64_t epoch, EndEpoch(id));
-    return "closed epoch " + std::to_string(epoch);
-  }
-  if (verb == "recluster") {
-    SNAKES_ASSIGN_OR_RETURN(EpochReport report, ReclusterNow(id));
-    return std::string(ReclusterDecisionName(report.decision)) + " " +
-           report.proposed_strategy;
-  }
-  if (verb == "status") {
-    SNAKES_ASSIGN_OR_RETURN(TenantStatus status, StatusOf(id));
-    return status.ToString();
-  }
-  if (verb == "backend") {
-    if (payload.empty()) {
-      std::lock_guard<std::mutex> lock(tenant->recluster_mu);
-      return "backend " +
-             std::string(StorageBackendKindName(tenant->engine.backend_kind()));
-    }
-    SNAKES_ASSIGN_OR_RETURN(StorageBackendKind kind,
-                            ParseStorageBackendKind(payload));
-    SNAKES_RETURN_IF_ERROR(SetBackend(id, kind));
-    return "backend " + std::string(StorageBackendKindName(kind));
-  }
-  if (verb == "costmodel") {
-    //   costmodel                         -> report the live model's JSON
-    //   costmodel analytic|hdd|ssd        -> switch to a preset
-    //   costmodel calibrated <json|path>  -> load fitted coefficients
-    if (payload.empty()) {
-      std::lock_guard<std::mutex> lock(tenant->state_mu);
-      return "costmodel " + tenant->cost_model->name() + " " +
-             tenant->cost_model->ToJson();
-    }
-    const size_t space = payload.find(' ');
-    CostModelSpec spec;
-    SNAKES_ASSIGN_OR_RETURN(spec.kind,
-                            ParseCostModelKind(payload.substr(0, space)));
-    if (space != std::string_view::npos) {
-      spec.calibrated_json =
-          std::string(TrimWhitespace(payload.substr(space + 1)));
-    }
-    SNAKES_RETURN_IF_ERROR(SetCostModel(id, spec));
-    return "costmodel " + std::string(CostModelKindName(spec.kind));
-  }
-  if (verb == "telemetry") {
-    // Service-wide telemetry, reachable from any registered tenant:
-    //   telemetry [json]   -> full snapshot as JSON
-    //   telemetry prom     -> Prometheus text exposition
-    //   telemetry recorder -> flight-recorder dump only
-    //   telemetry advance  -> rotate the SLO windows (sampler-less mode)
-    if (payload.empty() || payload == "json") {
-      return Telemetry().ToJson(/*pretty=*/true);
-    }
-    if (payload == "prom" || payload == "prometheus") {
-      return Telemetry().ToPrometheus();
-    }
-    if (payload == "recorder") return recorder_.ToJson(/*pretty=*/true);
-    if (payload == "advance") {
-      AdvanceSloWindows();
-      return std::string("advanced slo windows");
-    }
-    return Status::InvalidArgument("unknown telemetry format '" +
-                                   std::string(payload) + "'");
-  }
-  return Status::InvalidArgument("unknown request verb '" +
-                                 std::string(verb) + "'");
 }
 
 TelemetrySnapshot AdvisorService::Telemetry() const {

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <condition_variable>
 #include <cstdint>
-#include <functional>
 #include <future>
 #include <memory>
 #include <mutex>
@@ -174,7 +173,12 @@ class AdvisorService {
   /// The id registered under `name`, or NotFound.
   Result<TenantId> FindTenant(std::string_view name) const;
 
-  // ---- Synchronous request surface (also the task bodies of Submit*) ----
+  // ---- Synchronous request surface ------------------------------------
+  //
+  // RegisterTenant and every request method below — sync, Submit*,
+  // Dispatch, SubmitDispatch — run through one private handler, so a verb
+  // behaves and is recorded the same whichever surface it came in by: each
+  // call leaves exactly one flight-recorder record.
 
   /// Records one parsed query into the tenant's open epoch. Closes the
   /// epoch automatically when config.ingests_per_epoch is reached.
@@ -216,10 +220,11 @@ class AdvisorService {
 
   // ---- Batched request surface ----------------------------------------
 
-  /// Each Submit* enqueues the corresponding synchronous call onto the
-  /// request pool and returns its future; queue-wait and compute times are
-  /// recorded per request type. After Shutdown() the future is immediately
-  /// ready with FailedPrecondition.
+  /// Each Submit* enqueues the request onto the request pool and returns
+  /// its future; the enqueue time is taken at submit, so the recorded
+  /// request carries its real queue wait, and queue-wait / compute
+  /// histograms are recorded per request type. After Shutdown() the future
+  /// is immediately ready with FailedPrecondition.
   std::future<Status> SubmitIngest(TenantId id, GridQuery query);
   std::future<Result<uint64_t>> SubmitEndEpoch(TenantId id);
   std::future<Result<Recommendation>> SubmitAdvise(TenantId id);
@@ -271,7 +276,7 @@ class AdvisorService {
   /// tools with the sampler disabled can rotate deterministically.
   void AdvanceSloWindows();
 
-  // ---- Introspection ---------------------------------------------------
+  // ---- Introspection (not recorded as requests) ------------------------
 
   /// Pins the tenant's current epoch (never null once registered).
   Result<std::shared_ptr<const TenantEpoch>> PinEpoch(TenantId id) const;
@@ -289,32 +294,31 @@ class AdvisorService {
 
  private:
   struct Tenant;
+  /// One request, whichever surface it arrived on: the verb, the tenant
+  /// (by id, or by name for textual requests), and the verb's argument.
+  struct Request;
+  /// Handle's result: the verb's typed reply, or the reply line of a
+  /// textual request.
+  struct Reply;
 
-  /// RAII per-request bookkeeping: assigns the request id, installs the
-  /// thread's RequestContext, opens the "request/<verb>" span, and on
-  /// destruction stamps the finish time and records the completed request
-  /// into the flight recorder and the tenant's SLO window. Nested
-  /// construction (a Dispatch verb calling the sync surface) is a no-op —
-  /// the outermost guard owns the request.
-  class RequestGuard;
+  /// The one request path. Assigns the request id, installs the thread's
+  /// RequestContext and "request/<verb>" span, resolves the tenant, parses a
+  /// textual request's payload, validates the argument, counts the request
+  /// against the tenant, runs the verb's body, and records the completed
+  /// request into the flight recorder and the tenant's SLO window.
+  /// `enqueue_ns` is the service-clock submit time (the call time for sync
+  /// calls).
+  Result<Reply> Handle(Request request, uint64_t enqueue_ns);
 
-  /// Looks a tenant up by id; NotFound past the registered range.
+  /// Enqueues Handle(request) on `pool` with queue-wait/compute histograms
+  /// for `type`; rejection after Shutdown surfaces as an immediately-ready
+  /// FailedPrecondition future.
+  template <typename R>
+  std::future<R> Enqueue(ThreadPool* pool, const char* type, Request request);
+
+  /// Looks a tenant up by id (NotFound past the registered range) or name.
   Result<Tenant*> Find(TenantId id) const;
-
-  // Un-instrumented bodies of the public request surface; the public
-  // methods wrap them in a RequestGuard.
-  Status IngestImpl(TenantId id, const GridQuery& query);
-  Result<uint64_t> EndEpochImpl(TenantId id);
-  Result<Recommendation> AdviseImpl(TenantId id);
-  Result<QueryAnswer> QueryImpl(TenantId id, const GridQuery& query);
-  Result<QueryIo> MeasureImpl(TenantId id, const GridQuery& query);
-  Result<EpochReport> ReclusterNowImpl(TenantId id);
-  Status SetBackendImpl(TenantId id, StorageBackendKind kind);
-  Status SetCostModelImpl(TenantId id, const CostModelSpec& spec);
-  Result<TenantId> RegisterTenantImpl(TenantSpec spec);
-  Result<std::string> DispatchImpl(std::string_view tenant_name,
-                                   std::string_view verb,
-                                   std::string_view payload);
+  Result<Tenant*> Find(std::string_view name) const;
 
   /// Appends the decision of one engine epoch (with its inputs) to the
   /// audit log, attributed to the current request if any.
@@ -324,28 +328,19 @@ class AdvisorService {
   void SamplerLoop();
   void StopSampler();
 
-  /// Closes the open epoch. Caller holds tenant->state_mu; returns the
-  /// closed epoch's observed workload for the recluster trigger.
-  Result<Workload> CloseEpochLocked(Tenant* tenant);
+  /// Closes the open epoch into the sliding window. Caller holds
+  /// tenant->state_mu.
+  Status CloseEpochLocked(Tenant* tenant);
 
-  /// Epoch-close follow-up: fire-and-forget background recluster.
-  void MaybeScheduleRecluster(TenantId id);
-
-  /// The OnEpoch + publish body shared by ReclusterNow and SubmitRecluster.
-  Result<EpochReport> RunRecluster(Tenant* tenant);
+  /// Epoch-close follow-up: fire-and-forget background recluster, itself a
+  /// request through Handle.
+  void MaybeScheduleRecluster(Tenant* tenant);
 
   /// Builds a TenantEpoch around the adopted linearization/backend, stamps
   /// the next sequence number, and swaps it in as the tenant's published
   /// epoch (the pointer swap is the only step under epoch_mu).
   void Publish(Tenant* tenant, std::shared_ptr<const Linearization> lin,
                std::shared_ptr<const StorageBackend> backend);
-
-  /// Wraps `fn` with queue-wait/compute instrumentation for `type` and
-  /// submits it to `pool`; rejection surfaces as an immediately-ready
-  /// future (built by the caller-supplied `rejected` value factory).
-  template <typename R>
-  std::future<R> SubmitInstrumented(ThreadPool* pool, const char* type,
-                                    std::function<R()> fn);
 
   ServiceConfig config_;
   /// Epoch of the service clock (NowNs).

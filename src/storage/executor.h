@@ -52,7 +52,7 @@ struct ClassIoStats {
 };
 
 /// Expected I/O of a layout under a workload (the Table-4 metrics, plus the
-/// raw page expectation used by the DiskModel time estimate).
+/// raw page expectation the cost models price as transfer time).
 struct WorkloadIoStats {
   double expected_seeks = 0.0;
   double expected_normalized_blocks = 0.0;

@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
 #include <cmath>
+#include <cstdio>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "core/advisor.h"
@@ -180,14 +184,22 @@ class CalibrationSweepTest : public ::testing::Test {
     }
   }
 
+  ~CalibrationSweepTest() override { std::remove(scratch_path_.c_str()); }
+
   CalibrationSweepConfig SweepConfig() const {
     CalibrationSweepConfig config;
     config.queries_per_class = 2;
     config.repetitions = 2;
-    config.scratch_path = ::testing::TempDir() + "/calibration_scratch.bin";
+    config.scratch_path = scratch_path_;
     return config;
   }
 
+  // ctest runs every test as its own process, in parallel under -j: key the
+  // scratch file by test name and pid so no two sweeps share it.
+  const std::string scratch_path_ =
+      ::testing::TempDir() + "/calibration_scratch_" +
+      ::testing::UnitTest::GetInstance()->current_test_info()->name() + "_" +
+      std::to_string(getpid()) + ".bin";
   tpcd::Warehouse warehouse_;
   std::vector<std::shared_ptr<const Linearization>> strategies_;
 };

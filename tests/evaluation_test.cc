@@ -247,7 +247,7 @@ TEST(EvaluationDeathTest, BestOnEmptyRankingAbortsWithClearMessage) {
 
 TEST(EvaluationTest, CostModelPricesExpectedMsOnlyAtTheEdge) {
   // The default (no request.cost_model) prices the seek surrogate with the
-  // seed's DiskModel seek time; swapping the model repriced expected_ms but
+  // seed's disk-model seek time; swapping the model repriced expected_ms but
   // leaves expected_cost — the ranking key — bit-identical.
   auto schema = SymmetricSchema(2);
   const ClusteringAdvisor advisor(schema);

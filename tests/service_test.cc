@@ -159,6 +159,37 @@ TEST(ServiceRegistrationTest, ValidatesSpecs) {
   EXPECT_EQ(service.num_tenants(), 1u);
 }
 
+TEST(ServiceRegistrationTest, DuplicateNameFailsBeforeAdviseAndPack) {
+  // A taken name is rejected up front: no engine epoch runs, nothing is
+  // packed, published, or audited for the refused spec.
+  MetricsRegistry metrics;
+  ServiceConfig config = SmallConfig();
+  config.obs.metrics = &metrics;
+  AdvisorService service(config);
+  auto schema = SmallSchema();
+  TenantSpec first;
+  first.name = "t";
+  first.schema = schema;
+  first.facts = DenseFacts(schema, 2);
+  ASSERT_TRUE(service.RegisterTenant(std::move(first)).ok());
+  const uint64_t published =
+      metrics.Snapshot().counter("service.epochs_published");
+  const uint64_t audited = service.audit_log().recorded();
+  ASSERT_EQ(published, 1u);
+
+  TenantSpec duplicate;
+  duplicate.name = "t";
+  duplicate.schema = schema;
+  duplicate.facts = DenseFacts(schema, 2);
+  const auto refused = service.RegisterTenant(std::move(duplicate));
+  ASSERT_FALSE(refused.ok());
+  EXPECT_EQ(refused.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(metrics.Snapshot().counter("service.epochs_published"),
+            published);
+  EXPECT_EQ(service.audit_log().recorded(), audited);
+  EXPECT_EQ(service.num_tenants(), 1u);
+}
+
 TEST(ServiceRegistrationTest, PublishesEpochOneBeforeReturning) {
   auto schema = SmallSchema();
   AdvisorService service(SmallConfig());

@@ -15,6 +15,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
+#include <functional>
 #include <memory>
 #include <set>
 #include <sstream>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "core/advisor.h"
+#include "hierarchy/dimension_table.h"
 #include "hierarchy/star_schema.h"
 #include "lattice/grid_query.h"
 #include "lattice/workload.h"
@@ -372,6 +374,201 @@ TEST(ServiceTelemetryTest, RequestIdsAreUniqueAcrossAllPaths) {
   EXPECT_TRUE(saw_error);
   EXPECT_GT(metrics.Snapshot().counter("service.requests.completed"), 0u);
   EXPECT_GT(metrics.Snapshot().counter("service.requests.errors"), 0u);
+}
+
+/// SmallSchema's shape with a member label for every hierarchy node
+/// ("<dim><level>_<block>", e.g. "a1_1" = level 1, block 1 of dimension a),
+/// so the textual surface can address the same queries as MakeQuery.
+TenantId RegisterLabeled(AdvisorService* service, const std::string& name) {
+  std::vector<Hierarchy> dims;
+  TenantSpec spec;
+  spec.name = name;
+  for (const std::string dim : {"a", "b"}) {
+    Hierarchy h = Hierarchy::Uniform(dim, {2, 2}).value();
+    std::vector<std::vector<std::string>> labels(3);
+    for (int l = 0; l <= 2; ++l) {
+      for (uint64_t b = 0; b < h.num_blocks(l); ++b) {
+        labels[static_cast<size_t>(l)].push_back(dim + std::to_string(l) +
+                                                 "_" + std::to_string(b));
+      }
+    }
+    spec.tables.push_back(DimensionTable::Make(h, std::move(labels)).value());
+    dims.push_back(std::move(h));
+  }
+  spec.schema =
+      std::make_shared<StarSchema>(StarSchema::Make("s", dims).value());
+  spec.facts = DenseFacts(spec.schema, 2);
+  return service->RegisterTenant(std::move(spec)).value();
+}
+
+/// The newest record in the flight recorder.
+RequestRecord LastRecord(const AdvisorService& service) {
+  const std::vector<RequestRecord> records =
+      service.flight_recorder().Snapshot();
+  return records.empty() ? RequestRecord{} : records.back();
+}
+
+TEST(ServiceTelemetryTest, EveryRequestLeavesExactlyOneRecord) {
+  // Each verb through each entry shape — sync call, Submit*, Dispatch,
+  // SubmitDispatch — leaves exactly one flight-recorder record carrying the
+  // verb, the tenant, and the status the caller saw.
+  AdvisorService service(SmallConfig());
+  const TenantId id = RegisterLabeled(&service, "t");
+  const GridQuery query = MakeQuery(1, 2, 1, 0);
+  const auto text = [](RequestVerb verb) -> std::string {
+    switch (verb) {
+      case RequestVerb::kQuery:
+        return "query a=a1_1";
+      case RequestVerb::kMeasure:
+        return "measure a=a1_1";
+      case RequestVerb::kIngest:
+        return "ingest a=a1_1";
+      case RequestVerb::kAdvise:
+        return "advise";
+      default:
+        return "end-epoch";
+    }
+  };
+  using Call = std::function<StatusCode(RequestVerb)>;
+  const std::vector<std::pair<std::string, Call>> surfaces = {
+      {"sync",
+       [&](RequestVerb verb) {
+         switch (verb) {
+           case RequestVerb::kQuery:
+             return service.Query(id, query).status().code();
+           case RequestVerb::kMeasure:
+             return service.Measure(id, query).status().code();
+           case RequestVerb::kIngest:
+             return service.Ingest(id, query).code();
+           case RequestVerb::kAdvise:
+             return service.Advise(id).status().code();
+           default:
+             return service.EndEpoch(id).status().code();
+         }
+       }},
+      {"submit",
+       [&](RequestVerb verb) {
+         switch (verb) {
+           case RequestVerb::kQuery:
+             return service.SubmitQuery(id, query).get().status().code();
+           case RequestVerb::kMeasure:
+             return service.SubmitMeasure(id, query).get().status().code();
+           case RequestVerb::kIngest:
+             return service.SubmitIngest(id, query).get().code();
+           case RequestVerb::kAdvise:
+             return service.SubmitAdvise(id).get().status().code();
+           default:
+             return service.SubmitEndEpoch(id).get().status().code();
+         }
+       }},
+      {"dispatch",
+       [&](RequestVerb verb) {
+         return service.Dispatch("t", text(verb)).status().code();
+       }},
+      {"submit-dispatch", [&](RequestVerb verb) {
+         return service.SubmitDispatch("t", text(verb)).get().status().code();
+       }}};
+
+  for (const auto& [surface, call] : surfaces) {
+    // The second end-epoch has nothing ingested: an error is one record too.
+    for (const auto& [verb, expected] :
+         std::vector<std::pair<RequestVerb, StatusCode>>{
+             {RequestVerb::kQuery, StatusCode::kOk},
+             {RequestVerb::kMeasure, StatusCode::kOk},
+             {RequestVerb::kAdvise, StatusCode::kOk},
+             {RequestVerb::kIngest, StatusCode::kOk},
+             {RequestVerb::kEndEpoch, StatusCode::kOk},
+             {RequestVerb::kEndEpoch, StatusCode::kFailedPrecondition}}) {
+      const std::string what = surface + " " + RequestVerbName(verb);
+      const uint64_t before = service.flight_recorder().recorded();
+      EXPECT_EQ(call(verb), expected) << what;
+      EXPECT_EQ(service.flight_recorder().recorded(), before + 1) << what;
+      const RequestRecord record = LastRecord(service);
+      EXPECT_EQ(record.verb, verb) << what;
+      EXPECT_EQ(record.tenant, id) << what;
+      EXPECT_EQ(record.status, expected) << what;
+      EXPECT_LE(record.enqueue_ns, record.start_ns) << what;
+      EXPECT_LE(record.start_ns, record.finish_ns) << what;
+    }
+  }
+}
+
+TEST(ServiceTelemetryTest, UnknownTenantDispatchRecordsTheParsedVerb) {
+  AdvisorService service(SmallConfig());
+  RegisterLabeled(&service, "t");
+  for (const bool pooled : {false, true}) {
+    for (const auto& [text, verb] :
+         std::vector<std::pair<std::string, RequestVerb>>{
+             {"query a=a1_1", RequestVerb::kQuery},
+             {"measure a=a1_1", RequestVerb::kMeasure},
+             {"advise", RequestVerb::kAdvise},
+             {"ingest a=a1_1", RequestVerb::kIngest},
+             {"end-epoch", RequestVerb::kEndEpoch},
+             {"frobnicate", RequestVerb::kUnknown}}) {
+      const uint64_t before = service.flight_recorder().recorded();
+      const Result<std::string> reply =
+          pooled ? service.SubmitDispatch("nope", text).get()
+                 : service.Dispatch("nope", text);
+      ASSERT_FALSE(reply.ok()) << text;
+      EXPECT_EQ(reply.status().code(), StatusCode::kNotFound) << text;
+      EXPECT_EQ(service.flight_recorder().recorded(), before + 1) << text;
+      const RequestRecord record = LastRecord(service);
+      EXPECT_EQ(record.verb, verb) << text;
+      EXPECT_EQ(record.tenant, kNoTenant) << text;
+      EXPECT_EQ(record.status, StatusCode::kNotFound) << text;
+    }
+  }
+}
+
+TEST(ServiceTelemetryTest, PooledRequestsStampEnqueueAtSubmit) {
+  // One worker, a burst of submissions: the later ones wait in the queue.
+  // Every record's enqueue stamp falls inside its own Submit* call — taken
+  // at submit, not when a worker picked the request up — and precedes its
+  // start.
+  ServiceConfig config = SmallConfig();
+  config.request_threads = 1;
+  AdvisorService service(config);
+  const TenantId id = RegisterLabeled(&service, "t");
+  struct Submitted {
+    uint64_t before_ns;
+    uint64_t after_ns;
+  };
+  std::vector<Submitted> stamps;
+  std::vector<std::future<Result<std::string>>> texts;
+  std::vector<std::future<Result<QueryAnswer>>> answers;
+  for (int i = 0; i < 16; ++i) {
+    const uint64_t before = service.NowNs();
+    if (i % 2 == 0) {
+      answers.push_back(service.SubmitQuery(id, MakeQuery(0, 0, 1, 1)));
+    } else {
+      texts.push_back(service.SubmitDispatch("t", "query a=a0_1 b=b0_1"));
+    }
+    stamps.push_back({before, service.NowNs()});
+  }
+  for (auto& f : answers) ASSERT_TRUE(f.get().ok());
+  for (auto& f : texts) ASSERT_TRUE(f.get().ok());
+
+  std::vector<RequestRecord> records;
+  for (const RequestRecord& r : service.flight_recorder().Snapshot()) {
+    if (r.verb == RequestVerb::kQuery) records.push_back(r);
+  }
+  // One FIFO worker: record ids follow submission order.
+  ASSERT_EQ(records.size(), stamps.size());
+  for (size_t i = 0; i < records.size(); ++i) {
+    EXPECT_GE(records[i].enqueue_ns, stamps[i].before_ns) << i;
+    EXPECT_LE(records[i].enqueue_ns, stamps[i].after_ns) << i;
+    EXPECT_LE(records[i].enqueue_ns, records[i].start_ns) << i;
+  }
+
+  const uint64_t before = service.NowNs();
+  auto recluster = service.SubmitRecluster(id);
+  const uint64_t after = service.NowNs();
+  ASSERT_TRUE(recluster.get().ok());
+  const RequestRecord record = LastRecord(service);
+  EXPECT_EQ(record.verb, RequestVerb::kRecluster);
+  EXPECT_GE(record.enqueue_ns, before);
+  EXPECT_LE(record.enqueue_ns, after);
+  EXPECT_LE(record.enqueue_ns, record.start_ns);
 }
 
 TEST(ServiceTelemetryTest, SpansNestRequestVerbStorageUnderOneRid) {

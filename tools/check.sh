@@ -14,10 +14,14 @@ run_matrix_entry() {
   echo "==> [$name] build"
   cmake --build "$build_dir" -j "$JOBS"
   echo "==> [$name] ctest"
-  ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS"
+  # shellcheck disable=SC2086  # CTEST_FLAGS is a word list
+  ctest --test-dir "$build_dir" --output-on-failure -j "$JOBS" ${CTEST_FLAGS:-}
 }
 
-run_matrix_entry release -DCMAKE_BUILD_TYPE=Release
+# The release leg runs the suite three times in random order, so tests that
+# share scratch state (a fixed temp file, say) race and fail here first.
+CTEST_FLAGS="--schedule-random --repeat until-fail:3" \
+  run_matrix_entry release -DCMAKE_BUILD_TYPE=Release
 # ASan+UBSan catches lifetime/bounds bugs the run-decomposition recursions
 # could hide; halt_on_error turns any report into a hard failure.
 ASAN_OPTIONS="halt_on_error=1:detect_leaks=1" \
