@@ -49,20 +49,26 @@ Status StorageBackend::PackPages(std::shared_ptr<const Linearization> lin,
   facts_ = std::move(facts);
   config_ = config;
   const uint64_t n = lin_->num_cells();
-  first_page_.resize(n);
-  last_page_.resize(n);
-  records_.resize(n);
+  cum_records_.assign(n + 1, 0);
+  cum_cents_.assign(n + 1, 0);
+  next_first_page_.assign(n + 1, 0);
+  prev_last_page_.assign(n + 1, 0);
 
   uint64_t page = 0;
   uint64_t used = 0;  // bytes used on the current page
   const StarSchema& schema = lin_->schema();
   lin_->Walk([&](uint64_t rank, const CellCoord& coord) {
-    const uint32_t records = facts_->count(schema.Flatten(coord));
-    records_[rank] = records;
+    const CellId id = schema.Flatten(coord);
+    const uint32_t records = facts_->count(id);
+    // Checked: near-2^63-cell grids must abort rather than wrap the prefix
+    // sums MeasureRange subtracts (the CellBox::NumCells convention). The
+    // cents cannot wrap: FactTable bounds the sum of |cents| by int64.
+    cum_records_[rank + 1] = CheckedAdd(cum_records_[rank], records);
+    cum_cents_[rank + 1] = cum_cents_[rank] + facts_->measure_cents(id);
     if (records == 0) {
-      // Empty cell: occupies nothing; mark with an inverted span.
-      first_page_[rank] = 1;
-      last_page_[rank] = 0;
+      // Empty cell: occupies nothing. Its next_first_page_ entry is filled
+      // by the backward pass below.
+      prev_last_page_[rank + 1] = prev_last_page_[rank];
       return;
     }
     uint64_t placed = 0;
@@ -81,26 +87,17 @@ Status StorageBackend::PackPages(std::shared_ptr<const Linearization> lin,
       used += take * config.record_size_bytes;
       placed += take;
     }
-    first_page_[rank] = first;
-    last_page_[rank] = page;
+    next_first_page_[rank] = first;
+    prev_last_page_[rank + 1] = page;
   });
   num_pages_ = page + (used > 0 ? 1 : 0);
-  cum_records_.resize(n + 1);
-  next_first_page_.resize(n);
-  prev_last_page_.resize(n);
-  cum_records_[0] = 0;
-  uint64_t last_page_so_far = 0;
-  for (uint64_t rank = 0; rank < n; ++rank) {
-    // Checked: near-2^63-cell grids must abort rather than wrap the prefix
-    // sums MeasureRange subtracts (the CellBox::NumCells convention).
-    cum_records_[rank + 1] = CheckedAdd(cum_records_[rank], records_[rank]);
-    if (!CellEmpty(rank)) last_page_so_far = last_page_[rank];
-    prev_last_page_[rank] = last_page_so_far;
-  }
   uint64_t first_page_so_far = 0;
   for (uint64_t rank = n; rank-- > 0;) {
-    if (!CellEmpty(rank)) first_page_so_far = first_page_[rank];
-    next_first_page_[rank] = first_page_so_far;
+    if (CellEmpty(rank)) {
+      next_first_page_[rank] = first_page_so_far;
+    } else {
+      first_page_so_far = next_first_page_[rank];
+    }
   }
   if (obs.metrics != nullptr) {
     obs.metrics->GetCounter("storage.pages_packed")->Inc(num_pages_);
@@ -114,39 +111,21 @@ StorageBackend::RangeIo StorageBackend::MeasureRange(uint64_t start,
                                                      uint64_t len) const {
   // Explicit overflow-safe bounds check: start + len may wrap uint64 when
   // cell counts approach 2^63, so compare against the grid without adding.
-  SNAKES_CHECK(len <= records_.size() && start <= records_.size() - len)
+  const uint64_t n = cum_records_.size() - 1;
+  SNAKES_CHECK(len <= n && start <= n - len)
       << "MeasureRange past the grid: start=" << start << " len=" << len
-      << " cells=" << records_.size();
+      << " cells=" << n;
   RangeIo io;
   if (len == 0) return io;
-  io.records = cum_records_[start + len] - cum_records_[start];
+  const uint64_t end = start + len;
+  io.records = cum_records_[end] - cum_records_[start];
   if (io.records == 0) return io;
   // Non-empty range: the first non-empty cell at rank >= start and the last
-  // one at rank <= start + len - 1 both lie inside the range, and packing
-  // makes every page in between hold records of in-range cells.
+  // one at rank < start + len both lie inside the range, and packing makes
+  // every page in between hold records of in-range cells.
+  io.cents = cum_cents_[end] - cum_cents_[start];
   io.first_page = next_first_page_[start];
-  io.last_page = prev_last_page_[start + len - 1];
-  return io;
-}
-
-QueryIo StorageBackend::MeasureRuns(const std::vector<RankRun>& runs) const {
-  QueryIo io;
-  int64_t last_page = -1;
-  for (const RankRun& r : runs) {
-    const RangeIo range = MeasureRange(r.start, r.len);
-    if (range.records == 0) continue;
-    io.records += range.records;
-    const int64_t f = static_cast<int64_t>(range.first_page);
-    const int64_t l = static_cast<int64_t>(range.last_page);
-    if (f > last_page + 1 || last_page < 0) ++io.seeks;
-    if (l > last_page) {
-      const int64_t from = std::max(last_page + 1, f);
-      io.pages += static_cast<uint64_t>(l - from + 1);
-      last_page = l;
-    }
-  }
-  io.min_pages = CeilDiv(CheckedMul(io.records, config_.record_size_bytes),
-                         config_.page_size_bytes);
+  io.last_page = prev_last_page_[end];
   return io;
 }
 

@@ -131,37 +131,38 @@ class StorageBackend {
 
   /// True iff the cell at `rank` holds no records.
   bool CellEmpty(uint64_t rank) const {
-    return first_page_[rank] > last_page_[rank];
+    return cum_records_[rank + 1] == cum_records_[rank];
   }
 
   /// First/last page (inclusive) holding records of the cell at `rank`;
-  /// meaningful only when !CellEmpty(rank).
-  uint64_t CellFirstPage(uint64_t rank) const { return first_page_[rank]; }
-  uint64_t CellLastPage(uint64_t rank) const { return last_page_[rank]; }
+  /// meaningful only when !CellEmpty(rank). A non-empty cell is its own
+  /// first non-empty cell at rank >= rank and its own last non-empty cell at
+  /// rank <= rank, so both come straight from the MeasureRange prefixes.
+  uint64_t CellFirstPage(uint64_t rank) const { return next_first_page_[rank]; }
+  uint64_t CellLastPage(uint64_t rank) const {
+    return prev_last_page_[rank + 1];
+  }
 
-  /// Record count of the cell at `rank` (cached from the fact table).
-  uint32_t CellRecords(uint64_t rank) const { return records_[rank]; }
+  /// Record count of the cell at `rank`.
+  uint32_t CellRecords(uint64_t rank) const {
+    return static_cast<uint32_t>(cum_records_[rank + 1] - cum_records_[rank]);
+  }
 
-  /// Aggregate I/O footprint of a rank run. Because records pack in rank
-  /// order, the pages of any consecutive-rank range form one contiguous
-  /// interval with no internal gaps; empty ranges use the same inverted
-  /// convention as CellEmpty (first > last).
+  /// Aggregate footprint of a rank run. Because records pack in rank order,
+  /// the pages of any consecutive-rank range form one contiguous interval
+  /// with no internal gaps; empty ranges report first > last.
   struct RangeIo {
     uint64_t records = 0;
+    int64_t cents = 0;  // SUM of the range's measure, in exact cents
     uint64_t first_page = 1;
     uint64_t last_page = 0;
   };
 
-  /// Footprint of ranks [start, start + len) in O(1), from prefix sums
-  /// built at pack time. Checked: a range reaching past the grid aborts
-  /// instead of reading out of bounds (ranks approach 2^63 on wide
+  /// Footprint of ranks [start, start + len) in O(1), from the rank-prefix
+  /// arrays built at pack time. Checked: a range reaching past the grid
+  /// aborts instead of reading out of bounds (ranks approach 2^63 on wide
   /// schemas, so start + len itself is guarded against wraparound).
   RangeIo MeasureRange(uint64_t start, uint64_t len) const;
-
-  /// I/O of a sorted, disjoint, coalesced run decomposition (the output of
-  /// Linearization::AppendRuns): one linear pass merging adjacent page
-  /// spans, O(runs). The uninstrumented core of IoSimulator::Measure.
-  QueryIo MeasureRuns(const std::vector<RankRun>& runs) const;
 
   /// Zone-map pruning of a query box: how much of the partition directory a
   /// query can skip before scanning survivors. Pruning is conservative — a
@@ -209,9 +210,10 @@ class StorageBackend {
   StorageBackend& operator=(StorageBackend&&) = default;
 
   /// Validates the inputs and packs `facts` along `lin` into the shared
-  /// page representation (per-rank page spans plus the O(1) MeasureRange
-  /// prefix structures). Fails if config is degenerate (page smaller than a
-  /// record) or the linearization belongs to a different grid. `obs`
+  /// page representation: the rank-prefix arrays MeasureRange and the
+  /// per-cell accessors read, built in one Walk plus one backward pass.
+  /// Fails if config is degenerate (page smaller than a record) or the
+  /// linearization belongs to a different grid. `obs`
   /// (optional) records a "storage/pack" span and the storage.pages_packed /
   /// storage.records_packed counters.
   Status PackPages(std::shared_ptr<const Linearization> lin,
@@ -226,16 +228,16 @@ class StorageBackend {
   std::shared_ptr<const FactTable> facts_;
   StorageConfig config_;
   uint64_t num_pages_ = 0;
-  // Indexed by rank. Empty cells have first > last.
-  std::vector<uint64_t> first_page_;
-  std::vector<uint64_t> last_page_;
-  std::vector<uint32_t> records_;
-  // Rank-range accelerators for MeasureRange. cum_records_[r] = records in
-  // ranks [0, r) (n + 1 entries); next_first_page_[r] = first page of the
-  // first non-empty cell at rank >= r; prev_last_page_[r] = last page of
-  // the last non-empty cell at rank <= r. The page sentinels are only read
-  // when the queried range holds >= 1 record.
+  // Rank-prefix arrays, n + 1 entries each, indexed by rank boundary r:
+  // records and measure cents in ranks [0, r), the first page of the first
+  // non-empty cell at rank >= r, and the last page of the last non-empty
+  // cell at rank < r. The page entries are only read when the queried range
+  // holds >= 1 record. Kept as four 8-byte arrays rather than one
+  // interleaved 32-byte entry: a single 4x larger block raised glibc's
+  // dynamic mmap threshold on the first repack, after which the service's
+  // per-cell temporaries stayed in the heap and peak RSS rose.
   std::vector<uint64_t> cum_records_;
+  std::vector<int64_t> cum_cents_;
   std::vector<uint64_t> next_first_page_;
   std::vector<uint64_t> prev_last_page_;
 };

@@ -80,11 +80,12 @@ bool IoSimulator::AllPartitionsPruned(const CellBox& box,
   return prune.scanned == 0;
 }
 
-QueryIo IoSimulator::Measure(const GridQuery& query,
-                             PruneStats* prune) const {
+QueryIo IoSimulator::Measure(const GridQuery& query, PruneStats* prune,
+                             int64_t* cents) const {
   ScopedSpan span(tracer_, "storage/measure", "storage");
   const Linearization& lin = backend_.linearization();
   const CellBox box = BoxOf(lin.schema(), query);
+  if (cents != nullptr) *cents = 0;
   // Zone maps first: a box every partition prunes holds no records, so the
   // run decomposition (and its I/O) is skipped outright.
   if (AllPartitionsPruned(box, prune)) return QueryIo{};
@@ -93,11 +94,14 @@ QueryIo IoSimulator::Measure(const GridQuery& query,
   lin.AppendRuns(box, &runs);
 
   RunState run;
+  int64_t sum_cents = 0;
   for (const RankRun& r : runs) {
     const StorageBackend::RangeIo range = backend_.MeasureRange(r.start, r.len);
     if (range.records == 0) continue;
     run.Add(range.first_page, range.last_page, range.records, run_length_);
+    sum_cents += range.cents;
   }
+  if (cents != nullptr) *cents = sum_cents;
   QueryIo io;
   io.records = run.records;
   io.pages = run.pages;

@@ -100,9 +100,13 @@ class IoSimulator {
   /// `prune` is non-null it receives the zone-map outcome for this query
   /// (zeros on unpartitioned backends) — the per-request attribution the
   /// service's flight recorder records; the aggregate counters are
-  /// unaffected. Wrapped in a "storage/measure" span when tracing, so a
-  /// request's trace nests request -> verb -> storage.
-  QueryIo Measure(const GridQuery& query, PruneStats* prune = nullptr) const;
+  /// unaffected. When `cents` is non-null it receives the query's exact
+  /// SUM of the measure in cents, from the same runs' rank-prefix sums (so
+  /// COUNT is the returned records and SUM costs nothing extra per cell).
+  /// Wrapped in a "storage/measure" span when tracing, so a request's trace
+  /// nests request -> verb -> storage.
+  QueryIo Measure(const GridQuery& query, PruneStats* prune = nullptr,
+                  int64_t* cents = nullptr) const;
 
   /// I/O of one query by walking the query's cells in rank order. Reference
   /// implementation; identical results to Measure on every layout.

@@ -14,7 +14,7 @@ namespace {
 // Slot header preceding the padding in every on-disk record.
 struct RecordHeader {
   uint64_t cell_id;
-  double measure;
+  int64_t cents;
 };
 static_assert(sizeof(RecordHeader) == 16, "header layout");
 
@@ -43,7 +43,7 @@ Result<FileStore> FileStore::Create(
   auto init_page = [&]() {
     std::fill(page.begin(), page.end(), 0);
     // Pre-mark every slot empty.
-    RecordHeader empty{kEmptySlot, 0.0};
+    RecordHeader empty{kEmptySlot, 0};
     for (uint64_t offset = 0; offset + record_size <= page_size;
          offset += record_size) {
       std::memcpy(page.data() + offset, &empty, sizeof(empty));
@@ -65,11 +65,14 @@ Result<FileStore> FileStore::Create(
     const CellId id = schema.Flatten(coord);
     const uint32_t count = facts.count(id);
     if (count == 0) return;
-    const double measure_each =
-        facts.measure_sum(id) / static_cast<double>(count);
+    // Shares of the cell's cents: every record gets the truncated quotient,
+    // the first one also the remainder.
+    const int64_t cents = facts.measure_cents(id);
+    const int64_t share = cents / count;
     for (uint32_t r = 0; r < count; ++r) {
       if (page_size - used < record_size) flush_page();
-      const RecordHeader header{id, measure_each};
+      const RecordHeader header{id, r == 0 ? cents - share * (count - 1)
+                                           : share};
       std::memcpy(record.data(), &header, sizeof(header));
       std::memcpy(page.data() + used, record.data(), record_size);
       used += record_size;
@@ -148,11 +151,12 @@ Result<QueryAnswer> FileStore::Execute(const GridQuery& query) {
         if (header.cell_id == kEmptySlot) continue;
         if (!box.Contains(schema.Unflatten(header.cell_id))) continue;
         ++answer.count;
-        answer.sum += header.measure;
+        answer.cents += header.cents;
       }
     }
     last_page = std::max(last_page, last);
   }
+  answer.sum = static_cast<double>(answer.cents) / 100.0;
   answer.io.records = answer.count;
   answer.io.min_pages = CeilDiv(answer.count * config.record_size_bytes,
                                 config.page_size_bytes);

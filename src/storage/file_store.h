@@ -23,8 +23,10 @@ namespace snakes {
 /// table.
 ///
 /// On disk every record slot is `config.record_size_bytes` wide and starts
-/// with a 16-byte header {cell_id : u64, measure : f64}; the remainder pads
+/// with a 16-byte header {cell_id : u64, cents : i64}; the remainder pads
 /// to the configured record size (125 bytes reproduces the paper's setup).
+/// The fact table keeps one exact cents sum per cell, so a cell's records
+/// split it into shares that add back to it exactly.
 class FileStore {
  public:
   /// Serializes `layout` into `path` (overwrites). Fails if the record size

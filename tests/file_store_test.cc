@@ -77,6 +77,7 @@ TEST_F(FileStoreTest, PhysicalReadsMatchSimulatorAndFacts) {
       const QueryAnswer physical = store->Execute(q).value();
       const QueryAnswer expected = simulated.Execute(q);
       EXPECT_EQ(physical.count, expected.count) << q.ToString();
+      EXPECT_EQ(physical.cents, expected.cents) << q.ToString();
       EXPECT_NEAR(physical.sum, expected.sum, 1e-6 * (1.0 + expected.sum))
           << q.ToString();
       EXPECT_EQ(physical.io.pages, expected.io.pages) << q.ToString();

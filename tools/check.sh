@@ -155,6 +155,29 @@ print("micropartition bench ok: %d partitions, %.1f%% pruned" %
       (d["partitions"], 100.0 * d["restricted_pruned_fraction"]))
 EOF
 
+# Ledger correctness smoke: perf_ledger drives real requests through
+# AdvisorService and checks every sampled reply against the fact table's
+# sums and a fresh IoSimulator. A short seed-1 run of each workload must
+# exit 0, report "correct": true and answer every request. No timing is
+# compared here. run.py builds the ledger (Release) under .bench_build/.
+echo "==> [ledger] correctness smoke"
+for workload in olap-rollup drill-down; do
+  LEDGER_OUT="$ROOT/build-release/ledger-$workload.json"
+  (cd "$ROOT" && python3 perf_ledger/run.py --workload "$workload" --seed 1 \
+    --seconds 4) > "$LEDGER_OUT"
+  python3 - "$LEDGER_OUT" "$workload" <<'EOF'
+import json, sys
+path, workload = sys.argv[1], sys.argv[2]
+lines = [line for line in open(path).read().splitlines() if line.strip()]
+d = json.loads(lines[-1])
+assert d["correct"] is True, workload + ": a served reply failed its check"
+frac = d["metrics"]["answered_frac"]["value"]
+assert frac >= 1.0, "%s: answered_frac %.4f < 1" % (workload, frac)
+print("ledger smoke ok (%s): %d requests, all answered and correct" %
+      (workload, d["attempted"]))
+EOF
+done
+
 # Calibration smoke: the measured-cost loop end to end. calibrate_cost
 # sweeps real file_store executions on a small TPC-D warehouse, fits the
 # linear time model in-repo, and writes both artifacts; python validates the
