@@ -167,24 +167,25 @@ Result<EvaluationPlan> ClusteringAdvisor::Plan(
   OptimalPathResult& dp = *dp_opt;
   OptimalPathResult& snaked_dp = *snaked_dp_opt;
 
-  EvaluationPlan plan{request.workload,
-                      std::move(dp),
-                      std::move(snaked_dp),
-                      0.0,
-                      {},
-                      {},
-                      num_threads,
-                      request.measure_storage,
-                      request.storage,
-                      request.backend,
-                      request.facts,
-                      request.obs,
-                      request.cost_mode};
-  plan.cost_model =
-      request.cost_model != nullptr ? request.cost_model : DefaultCostModel();
-  plan.cost_cache = request.cost_cache;
-  plan.snaked_cost_of_optimal =
-      ExpectedSnakedPathCost(plan.workload, plan.optimal_path.path);
+  const double snaked_cost_of_optimal =
+      ExpectedSnakedPathCost(request.workload, dp.path);
+  EvaluationPlan plan{
+      .workload = request.workload,
+      .optimal_path = std::move(dp),
+      .optimal_snaked_path = std::move(snaked_dp),
+      .snaked_cost_of_optimal = snaked_cost_of_optimal,
+      .strategies = {},
+      .skipped = {},
+      .num_threads = num_threads,
+      .measure_storage = request.measure_storage,
+      .storage = request.storage,
+      .backend = request.backend,
+      .facts = request.facts,
+      .obs = request.obs,
+      .cost_model = request.cost_model != nullptr ? request.cost_model
+                                                  : DefaultCostModel(),
+      .cost_cache = request.cost_cache,
+  };
 
   const StrategyContext ctx{schema_, &plan.workload, &plan.optimal_path,
                             &plan.optimal_snaked_path};
@@ -239,7 +240,8 @@ Result<Recommendation> ClusteringAdvisor::Evaluate(
     span.AddArg("factory", candidate.factory);
     // One run arena per task: cost measurement and storage simulation of
     // this candidate reuse its storage across every class; tasks never share
-    // one (the arena is single-threaded state).
+    // one (the arena is single-threaded state). Cached or not, the cost
+    // comes from the same class-cost fill.
     RunArena arena;
     StrategyReport report;
     report.name = candidate.linearization->name();
@@ -248,10 +250,9 @@ Result<Recommendation> ClusteringAdvisor::Evaluate(
         plan.cost_cache != nullptr
             ? MeasureExpectedCostCached(plan.workload,
                                         *candidate.linearization,
-                                        plan.cost_cache, obs, plan.cost_mode,
-                                        &arena)
+                                        plan.cost_cache, obs, {}, &arena)
             : MeasureExpectedCost(plan.workload, *candidate.linearization,
-                                  obs, plan.cost_mode, &arena);
+                                  obs, &arena);
     if (plan.measure_storage) {
       SNAKES_ASSIGN_OR_RETURN(
           std::shared_ptr<const StorageBackend> backend,

@@ -53,9 +53,7 @@ struct EvaluationRequest {
   std::shared_ptr<const FactTable> facts;
   /// The factory registry to plan from; nullptr = StrategyRegistry::BuiltIns().
   const StrategyRegistry* registry = nullptr;
-  /// How Evaluate measures expected cost: interval-based rank-run counting
-  /// or the edge-histogram cell walk. kAuto picks per strategy/workload;
-  /// both give bit-identical costs.
+  /// Unused; kept while the perf ledger still names it.
   CostEvalMode cost_mode = CostEvalMode::kAuto;
   /// Optional observability backends (obs/metrics.h, obs/trace.h). Both
   /// default to nullptr — the null object — so uninstrumented callers pay
@@ -72,10 +70,12 @@ struct EvaluationRequest {
   /// so cached per-class integers are shared across models.
   std::shared_ptr<const CostModel> cost_model;
   /// Optional memo of per-class strategy costs (cost/cost_cache.h). When
-  /// set, Evaluate scores candidates through the cache: classes already
-  /// costed in a previous advise are not re-measured, and the result is
-  /// bit-identical to the uncached evaluation. Caller owns; must outlive
-  /// Evaluate. AdviseIncremental wires this from its state automatically.
+  /// set, Evaluate scores candidates through it: classes already costed in
+  /// a previous advise are not re-measured. When null, each scoring task
+  /// runs the same class-cost fill over a table of its own
+  /// (MeasureExpectedCost), so the result is bit-identical either way.
+  /// Caller owns; must outlive Evaluate. AdviseIncremental wires this from
+  /// its state automatically.
   ClassCostCache* cost_cache = nullptr;
   /// Optional memo of the two path DPs (path/dp_cache.h). When set, Plan
   /// reuses DP solutions for bit-identical workloads instead of re-solving.
@@ -117,7 +117,6 @@ struct EvaluationPlan {
   std::shared_ptr<const FactTable> facts;
   /// Copied from the request; consulted by Evaluate's scoring tasks.
   ObsSink obs;
-  CostEvalMode cost_mode = CostEvalMode::kAuto;
   /// Carried over from the request; null = analytic default.
   std::shared_ptr<const CostModel> cost_model;
   /// Carried over from the request; consulted by Evaluate when non-null.

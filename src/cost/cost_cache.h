@@ -28,8 +28,8 @@ namespace snakes {
 ///
 /// Entries are exact integers (TotalFragments / NumQueries, the same values
 /// ClassCostTable stores), so a cache hit reproduces the uncached AvgDouble
-/// bit for bit regardless of which evaluation mode originally filled it
-/// (run counting and the edge walk agree exactly; see tests/rank_run_test).
+/// bit for bit regardless of which fill wrote it (run counting and the edge
+/// walk agree exactly; see tests/rank_run_test).
 ///
 /// Thread-safety: the strategy map is mutex-guarded and the counters are
 /// atomic, so concurrent Evaluate tasks may fill *different* strategies'
@@ -47,11 +47,15 @@ class ClassCostCache {
   /// Per-strategy memo: fragments/queries per dense lattice index, with a
   /// validity mask (a class is present once costed).
   struct StrategyCosts {
+    /// Every class unknown (0 fragments over 1 query).
+    explicit StrategyCosts(uint64_t num_classes = 0)
+        : fragments(num_classes, 0),
+          queries(num_classes, 1),
+          known(num_classes, 0) {}
+
     std::vector<uint64_t> fragments;
     std::vector<uint64_t> queries;
     std::vector<char> known;
-    /// Set once an edge-walk pass filled every class at once.
-    bool full_table = false;
   };
 
   ClassCostCache() = default;
@@ -83,16 +87,23 @@ class ClassCostCache {
   std::atomic<uint64_t> misses_{0};
 };
 
-/// MeasureExpectedCost through the memo: bit-identical to
-/// MeasureExpectedCost(mu, lin, obs, mode) on every input, but per-class
-/// fragment counts are computed at most once per cache lifetime. Classes
-/// with zero probability are neither computed nor charged. `cache` must not
-/// be null; pass the same instance across epochs to amortize. `arena`
-/// (optional) is per-thread reusable run storage for cache-miss fills —
-/// identical fragment integers either way.
+/// The class-cost fill: MeasureExpectedCost with the per-class fragment
+/// counts memoized in `cache`, computed at most once per cache lifetime.
+/// The classes a non-zero probability selects and the cache lacks are
+/// filled one of two ways. For a strategy without a run decomposition
+/// (Linearization::HasRunDecomposition), one edge walk (MeasureClassCosts,
+/// O(cells * dims)) fills every class at once. Otherwise each missing class
+/// is counted on its own: the closed form num_cells() for
+/// Linearization::ClassRunsDegenerate classes, else the run count of one
+/// AppendClassRuns pass. Classes with zero probability are neither computed
+/// nor charged. `cache` must not be null; pass the same instance across
+/// epochs to amortize. The mode argument is ignored; it is kept while the
+/// perf ledger still passes one. `arena` (optional) is per-thread reusable
+/// run storage for the per-class fills — identical fragment integers either
+/// way.
 double MeasureExpectedCostCached(const Workload& mu, const Linearization& lin,
                                  ClassCostCache* cache, const ObsSink& obs = {},
-                                 CostEvalMode mode = CostEvalMode::kAuto,
+                                 CostEvalMode = CostEvalMode::kAuto,
                                  RunArena* arena = nullptr);
 
 }  // namespace snakes

@@ -23,34 +23,27 @@ double ExpectedPathCost(const Workload& mu, const LatticePath& path);
 /// Analytic cost_mu of the snaked version of `path` on the lattice model.
 double ExpectedSnakedPathCost(const Workload& mu, const LatticePath& path);
 
-/// How MeasureExpectedCost evaluates a strategy.
+/// Ignored: one fill chooses how to count class costs (see
+/// MeasureExpectedCostCached). Kept only because the perf ledger still
+/// names it.
 enum class CostEvalMode {
-  /// Rank runs when the strategy decomposes and the workload's non-zero
-  /// classes hold fewer queries than the grid holds cells; edge walk
-  /// otherwise. The break-even is simple: the edge walk always costs
-  /// O(cells * levels), the run path costs O(sum over queries of runs).
   kAuto,
-  /// Always the seed's edge-histogram walk, O(cells * levels).
-  kEdgeWalk,
-  /// Always per-query rank-run counting (correct for any strategy; only
-  /// fast for ones with HasRunDecomposition()).
-  kRankRuns,
 };
 
 /// Expected cost of an arbitrary linearization under `mu`, measured exactly.
-/// Both modes produce bit-identical results: a query's fragment count *is*
-/// its rank-run count, and the run path feeds per-class totals through the
-/// same ExpectedCost summation as the edge walk. `obs` (optional) wraps the
-/// measurement in a "cost/measure" span and counts cost.cells_scanned (edge
-/// walk) or curves.runs_emitted / curves.cells_per_run (run path; degenerate
-/// classes short-circuit to their closed-form fragment count — num_cells()
-/// — and contribute to runs_emitted but not to the per-run histogram).
-/// `arena` (optional) is reused run storage for the run path — identical
+/// This is the fill of MeasureExpectedCostCached (cost/cost_cache.h) over a
+/// call-local table, with one difference: with nothing to amortize into, it
+/// also takes the whole-table edge walk when the weighted classes hold more
+/// queries than the grid has cells, since counting runs costs at least one
+/// step per query. A query's fragment count *is* its rank-run count, so the
+/// result is bit-identical to ExpectedCost(mu, MeasureClassCosts(lin))
+/// whichever way the fill counts. `obs` (optional) wraps the measurement in
+/// a "cost/measure" span and counts cost.cache_misses (one per class
+/// filled) plus cost.cells_scanned (edge walk) or curves.runs_emitted
+/// (per-class runs). `arena` (optional) is reused run storage — identical
 /// results, fewer allocations; pass one per thread.
 double MeasureExpectedCost(const Workload& mu, const Linearization& lin,
-                           const ObsSink& obs = {},
-                           CostEvalMode mode = CostEvalMode::kAuto,
-                           RunArena* arena = nullptr);
+                           const ObsSink& obs = {}, RunArena* arena = nullptr);
 
 }  // namespace snakes
 

@@ -181,4 +181,40 @@ void MaterializedLinearization::AppendRuns(const CellBox& box,
   for (uint64_t rank : ranks) AppendRun(runs, floor, rank, 1);
 }
 
+void MaterializedLinearization::AppendClassRuns(const QueryClass& cls,
+                                                RunArena* arena) const {
+  const StarSchema& s = schema();
+  const int k = s.num_dims();
+  // Dense query-id strides matching QueryAt: dimension 0 slowest.
+  FixedVector<uint64_t, kMaxDimensions> strides;
+  strides.resize(static_cast<size_t>(k));
+  uint64_t num_queries = 1;
+  for (int d = k - 1; d >= 0; --d) {
+    strides[static_cast<size_t>(d)] = num_queries;
+    num_queries *= s.dim(d).num_blocks(cls.level(d));
+  }
+  arena->BeginClass(num_queries);
+  // Rank-adjacent cells of one query form one run; each maximal stretch
+  // goes to the arena as a one-run list.
+  std::vector<RankRun>& run = arena->scratch();
+  run.clear();
+  uint64_t run_qid = 0;
+  for (uint64_t rank = 0; rank < order_.size(); ++rank) {
+    const CellCoord coord = s.Unflatten(order_[rank]);
+    uint64_t qid = 0;
+    for (int d = 0; d < k; ++d) {
+      qid += s.dim(d).AncestorAt(coord[static_cast<size_t>(d)], cls.level(d)) *
+             strides[static_cast<size_t>(d)];
+    }
+    if (!run.empty() && qid == run_qid) {
+      ++run.back().len;
+      continue;
+    }
+    if (!run.empty()) arena->AppendQuery(run_qid, run);
+    run.assign(1, RankRun{rank, 1});
+    run_qid = qid;
+  }
+  if (!run.empty()) arena->AppendQuery(run_qid, run);
+}
+
 }  // namespace snakes

@@ -57,8 +57,9 @@ class Linearization {
   virtual void AppendRuns(const CellBox& box, std::vector<RankRun>* runs)
       const;
 
-  /// True when AppendRuns costs roughly O(runs) rather than O(cells in box),
-  /// so interval-based query evaluation is a win. Default false.
+  /// True when AppendRuns and AppendClassRuns cost roughly O(runs) rather
+  /// than O(cells), so counting a few classes' runs beats one edge walk over
+  /// every cell (the class-cost fill's choice). Default false.
   virtual bool HasRunDecomposition() const { return false; }
 
   /// Emits the run decomposition of *every* query box of class `cls` into
@@ -120,6 +121,11 @@ class MaterializedLinearization : public Linearization {
   /// with sequential array reads instead of virtual RankOf calls.
   void AppendRuns(const CellBox& box, std::vector<RankRun>* runs)
       const override;
+  /// One pass over the ranks in order, appending each cell to the query of
+  /// `cls` that holds it (the arena coalesces rank-adjacent cells): O(cells)
+  /// per class, where the default's per-query gather-and-sort costs
+  /// O(cells log cells).
+  void AppendClassRuns(const QueryClass& cls, RunArena* arena) const override;
 
  private:
   MaterializedLinearization(std::shared_ptr<const StarSchema> schema,

@@ -11,4 +11,8 @@ void RunArena::BeginClass(uint64_t num_queries) {
   per_query_runs_.assign(num_queries, 0);
 }
 
+void RunArena::AppendQuery(uint64_t qid, const std::vector<RankRun>& runs) {
+  for (const RankRun& r : runs) Append(qid, r.start, r.len);
+}
+
 }  // namespace snakes

@@ -48,6 +48,11 @@ class RunArena {
     qids_.push_back(qid);
   }
 
+  /// Append for each run of `runs`, in order. Out of line, for emitters
+  /// whose own loop already calls Append and would otherwise inline a
+  /// second copy of it (the compiler then inlines neither).
+  void AppendQuery(uint64_t qid, const std::vector<RankRun>& runs);
+
   uint64_t num_queries() const { return per_query_runs_.size(); }
 
   /// Emitted runs in emission (global rank) order, after coalescing.

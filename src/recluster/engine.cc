@@ -77,7 +77,7 @@ double ReclusterEngine::CurrentCostUnder(const Workload& mu,
   // The live strategy fell out of the evaluated set (config change between
   // epochs); measure it directly, still through the memo.
   return MeasureExpectedCostCached(mu, *current_, &state_.cost_cache,
-                                   config_.obs, config_.cost_mode);
+                                   config_.obs);
 }
 
 Result<EpochReport> ReclusterEngine::OnEpoch(const Workload& epoch_mu) {
@@ -113,7 +113,6 @@ Result<EpochReport> ReclusterEngine::OnEpoch(const Workload& epoch_mu) {
   EvaluationRequest request{mu};
   request.strategies = config_.strategies;
   request.num_threads = config_.num_threads;
-  request.cost_mode = config_.cost_mode;
   request.obs = config_.obs;
   SNAKES_ASSIGN_OR_RETURN(Recommendation rec,
                           advisor_.AdviseIncremental(request, &state_));

@@ -47,6 +47,7 @@ struct ReclusterConfig {
   std::vector<std::string> strategies;
   /// Threads for the advisor's evaluation engine (0 = hardware).
   int num_threads = 1;
+  /// Unused; kept while the perf ledger still names it.
   CostEvalMode cost_mode = CostEvalMode::kAuto;
   StorageConfig storage;
   /// Storage representation the engine packs adopted layouts into.

@@ -606,7 +606,6 @@ Result<AdvisorService::Reply> AdvisorService::Handle(Request request,
           EvaluationRequest advise{tenant->window.Smoothed()};
           advise.strategies = config_.recluster.strategies;
           advise.num_threads = 1;  // the request pool is the parallelism
-          advise.cost_mode = config_.recluster.cost_mode;
           advise.obs = config_.obs;
           advise.cost_model = tenant->cost_model;
           SNAKES_ASSIGN_OR_RETURN(

@@ -164,95 +164,45 @@ QueryIo IoSimulator::MeasureCellWalk(const GridQuery& query) const {
 
 ClassIoStats IoSimulator::MeasureClass(const QueryClass& cls) const {
   const Linearization& lin = backend_.linearization();
-  // Intervals pay off when each query covers many cells; at the fine end
-  // (as many queries as cells) the single cell-walk pass is cheaper than
-  // one decomposition per query. Classes whose runs provably degenerate to
-  // single cells take the cell walk too — materializing num_cells() runs
-  // buys nothing over walking the cells once.
-  if (lin.HasRunDecomposition() &&
-      NumQueriesInClass(lin.schema(), cls) < lin.num_cells() &&
-      !lin.ClassRunsDegenerate(cls)) {
-    return MeasureClassRuns(cls);
-  }
-  return MeasureClassCellWalk(cls);
-}
+  const uint64_t num_queries = NumQueriesInClass(lin.schema(), cls);
 
-ClassIoStats IoSimulator::MeasureClassRuns(const QueryClass& cls) const {
-  const Linearization& lin = backend_.linearization();
-  const StarSchema& schema = lin.schema();
-  const uint64_t num_queries = NumQueriesInClass(schema, cls);
+  // One AppendClassRuns pass emits every query's runs in global rank order;
+  // per-query page-run state is keyed by dense query id, exactly as
+  // MeasureClassCellWalk keys cells. Aggregation then visits queries in the
+  // same ascending id order, so the stats (including the float normalized
+  // sum) are bit-identical to the walk. Zone maps are not consulted: pruning
+  // is conservative, so it could only skip runs that hold no records.
+  lin.AppendClassRuns(cls, arena_);
+  std::vector<RunState> state(num_queries);
+  const size_t n = arena_->num_runs();
+  for (size_t i = 0; i < n; ++i) {
+    const RankRun& r = arena_->run(i);
+    const StorageBackend::RangeIo range = backend_.MeasureRange(r.start, r.len);
+    if (cells_per_run_ != nullptr) cells_per_run_->Record(r.len);
+    if (range.records == 0) continue;
+    state[arena_->run_qid(i)].Add(range.first_page, range.last_page,
+                                  range.records, run_length_);
+  }
 
   ClassIoStats stats;
   stats.num_queries = num_queries;
   const uint64_t record_size = backend_.config().record_size_bytes;
   const uint64_t page_size = backend_.config().page_size_bytes;
-  uint64_t total_runs = 0;
-  if (backend_.num_partitions() == 0) {
-    // Batched: one AppendClassRuns pass emits every query's runs in global
-    // rank order; per-query page-run state is keyed by dense query id,
-    // exactly as MeasureClassCellWalk keys cells. Aggregation then visits
-    // queries in the same ascending id order as the per-query loop below,
-    // so the stats (including the float normalized sum) are bit-identical.
-    lin.AppendClassRuns(cls, arena_);
-    std::vector<RunState> state(num_queries);
-    const size_t n = arena_->num_runs();
-    for (size_t i = 0; i < n; ++i) {
-      const RankRun& r = arena_->run(i);
-      const StorageBackend::RangeIo range =
-          backend_.MeasureRange(r.start, r.len);
-      if (cells_per_run_ != nullptr) cells_per_run_->Record(r.len);
-      if (range.records == 0) continue;
-      state[arena_->run_qid(i)].Add(range.first_page, range.last_page,
-                                    range.records, run_length_);
-    }
-    total_runs = n;
-    for (const RunState& run : state) {
-      if (run.records == 0) continue;
-      ++stats.num_nonempty;
-      stats.total_pages += run.pages;
-      stats.total_seeks += run.seeks;
-      if (run_length_ != nullptr) run.CloseRun(run_length_);
-      const uint64_t min_pages =
-          CeilDiv(CheckedMul(run.records, record_size), page_size);
-      stats.total_normalized +=
-          static_cast<double>(run.pages) / static_cast<double>(min_pages);
-    }
-  } else {
-    // Partitioned: keep the per-query loop so the zone maps can veto each
-    // box before any decomposition (and the pruning counters stay per
-    // query). The run vector is the arena's reusable scratch.
-    std::vector<RankRun>& runs = arena_->scratch();
-    for (uint64_t i = 0; i < num_queries; ++i) {
-      const CellBox box = BoxOf(schema, QueryAt(schema, cls, i));
-      if (AllPartitionsPruned(box)) continue;
-      runs.clear();
-      lin.AppendRuns(box, &runs);
-      RunState run;
-      for (const RankRun& r : runs) {
-        const StorageBackend::RangeIo range =
-            backend_.MeasureRange(r.start, r.len);
-        if (range.records == 0) continue;
-        run.Add(range.first_page, range.last_page, range.records, run_length_);
-      }
-      total_runs += runs.size();
-      if (cells_per_run_ != nullptr) {
-        for (const RankRun& r : runs) cells_per_run_->Record(r.len);
-      }
-      if (run.records == 0) continue;
-      ++stats.num_nonempty;
-      stats.total_pages += run.pages;
-      stats.total_seeks += run.seeks;
-      if (run_length_ != nullptr) run.CloseRun(run_length_);
-      const uint64_t min_pages =
-          CeilDiv(CheckedMul(run.records, record_size), page_size);
-      stats.total_normalized +=
-          static_cast<double>(run.pages) / static_cast<double>(min_pages);
-    }
+  for (const RunState& run : state) {
+    if (run.records == 0) continue;
+    ++stats.num_nonempty;
+    stats.total_pages += run.pages;
+    stats.total_seeks += run.seeks;
+    if (run_length_ != nullptr) run.CloseRun(run_length_);
+    const uint64_t min_pages =
+        CeilDiv(CheckedMul(run.records, record_size), page_size);
+    stats.total_normalized +=
+        static_cast<double>(run.pages) / static_cast<double>(min_pages);
   }
   if (pages_read_ != nullptr) {
     pages_read_->Inc(stats.total_pages);
     seeks_->Inc(stats.total_seeks);
-    runs_emitted_->Inc(total_runs);
+    runs_emitted_->Inc(n);
   }
   return stats;
 }

@@ -60,27 +60,28 @@ struct WorkloadIoStats {
 };
 
 /// Measures grid-query I/O against any StorageBackend, exactly (aggregating
-/// over every query of a class in one linear pass) or per query.
+/// over every query of a class in one pass) or per query.
 ///
 /// Queries are evaluated interval-first: the linearization decomposes the
 /// query box into rank runs (Linearization::AppendRuns) and each run's page
 /// footprint comes from StorageBackend::MeasureRange in O(1), so a query
-/// costs O(runs) instead of O(cells in box). The seed's cell-walk evaluators
-/// are kept as MeasureCellWalk / MeasureClassCellWalk — they are the
-/// reference the run path is property-tested against, and remain the better
-/// choice when queries are cell-sized (MeasureClass falls back
-/// automatically).
+/// costs O(runs) instead of O(cells in box). MeasureClass does the same for
+/// a whole class in one batched Linearization::AppendClassRuns pass, on
+/// every backend and every class. The seed's cell-walk evaluators are kept
+/// as MeasureCellWalk / MeasureClassCellWalk — test oracles the run paths
+/// are checked against, not production paths.
 ///
-/// On partitioned backends the run paths first consult the zone maps
-/// (StorageBackend::PruneBox). Pruning is conservative, so measured QueryIo
-/// is bit-identical across backends; what changes is the evaluation work —
-/// a query whose box misses every partition skips its run decomposition
-/// entirely, and the storage.partitions_scanned / storage.partitions_pruned
-/// counters expose the pruning power of the directory.
+/// On partitioned backends Measure first consults the zone maps
+/// (StorageBackend::PruneBox): a query whose box misses every partition
+/// skips its run decomposition entirely, and the
+/// storage.partitions_scanned / storage.partitions_pruned counters expose
+/// the pruning power of the directory. Pruning is conservative, so measured
+/// QueryIo is bit-identical across backends; MeasureClass therefore skips
+/// the zone maps altogether.
 ///
 /// With an ObsSink the simulator mirrors its measurements into the registry
 /// — storage.pages_read / storage.seeks counters on every path,
-/// storage.cells_scanned on the cell-walk paths, curves.runs_emitted and a
+/// storage.cells_scanned on the cell-walk oracles, curves.runs_emitted and a
 /// curves.cells_per_run histogram on the run paths, plus a
 /// storage.run_length_pages histogram of sequential-run lengths — and
 /// wraps MeasureAllClasses in a "storage/measure_all" span. Metric pointers
@@ -112,15 +113,17 @@ class IoSimulator {
   /// implementation; identical results to Measure on every layout.
   QueryIo MeasureCellWalk(const GridQuery& query) const;
 
-  /// Exact per-class aggregates. Uses the run decomposition query-by-query
-  /// when the layout's strategy decomposes cheaply and the class is coarse
-  /// enough for intervals to win (fewer queries than cells); otherwise the
-  /// cell-walk pass. Both paths produce identical stats.
+  /// Exact per-class aggregates from one batched AppendClassRuns pass
+  /// through the arena: every query's runs are priced by MeasureRange and
+  /// folded into per-query page-run state. O(runs in class) time when the
+  /// strategy has a run decomposition, O(cells) otherwise;
+  /// O(queries in class) space.
   ClassIoStats MeasureClass(const QueryClass& cls) const;
 
   /// Exact per-class aggregates in one pass over the layout: every cell is
   /// attributed to its enclosing class-`cls` query and per-query page runs
   /// are tracked incrementally. O(cells) time, O(queries-in-class) space.
+  /// Reference implementation; identical stats to MeasureClass.
   ClassIoStats MeasureClassCellWalk(const QueryClass& cls) const;
 
   /// MeasureClass for every lattice point, indexed by lattice index.
@@ -132,13 +135,6 @@ class IoSimulator {
                                 const std::vector<ClassIoStats>& per_class);
 
  private:
-  /// Run-based per-class pass; requires run-decomposition to be worthwhile.
-  /// On unpartitioned backends all queries of the class are emitted in one
-  /// batched AppendClassRuns pass through the arena; partitioned backends
-  /// keep the per-query loop so zone-map pruning (and its counters) applies
-  /// before each decomposition. Both produce identical stats.
-  ClassIoStats MeasureClassRuns(const QueryClass& cls) const;
-
   /// Consults the backend's zone maps for `box` and mirrors the outcome
   /// into the pruning counters (and `prune`, when non-null). True iff every
   /// partition was pruned (the caller may skip run decomposition; the box

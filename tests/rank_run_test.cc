@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "cost/cost_cache.h"
 #include "cost/workload_cost.h"
 #include "curves/hilbert.h"
 #include "curves/linearization.h"
@@ -491,6 +492,38 @@ TEST_P(RankRunRandomizedTest, BatchedClassEmissionHilbertAndChunked) {
 // Simulator and cost-model cross-checks: run-based evaluation must equal the
 // seed's cell walk on every number it produces.
 
+/// Every number the run-based simulator produces on `backend` must equal
+/// the cell walk's: per query, and per class (batched MeasureClass against
+/// MeasureClassCellWalk).
+void CheckSimulatorAgainstCellWalk(const StorageBackend& backend) {
+  const StarSchema& schema = backend.linearization().schema();
+  const QueryClassLattice lat(schema);
+  const IoSimulator sim(backend);
+  for (uint64_t i = 0; i < lat.size(); ++i) {
+    const QueryClass cls = lat.ClassAt(i);
+    // Query-by-query: run-based Measure equals the cell walk exactly.
+    const uint64_t num_queries = NumQueriesInClass(schema, cls);
+    for (uint64_t q = 0; q < num_queries; ++q) {
+      const GridQuery query = QueryAt(schema, cls, q);
+      const QueryIo runs_io = sim.Measure(query);
+      const QueryIo walk_io = sim.MeasureCellWalk(query);
+      EXPECT_EQ(runs_io.records, walk_io.records) << query.ToString();
+      EXPECT_EQ(runs_io.pages, walk_io.pages) << query.ToString();
+      EXPECT_EQ(runs_io.seeks, walk_io.seeks) << query.ToString();
+      EXPECT_EQ(runs_io.min_pages, walk_io.min_pages) << query.ToString();
+    }
+    // Class aggregates: both paths produce identical stats, including the
+    // bit-identical normalized-blocks sum (same summation order).
+    const ClassIoStats runs_stats = sim.MeasureClass(cls);
+    const ClassIoStats walk_stats = sim.MeasureClassCellWalk(cls);
+    EXPECT_EQ(runs_stats.num_queries, walk_stats.num_queries);
+    EXPECT_EQ(runs_stats.num_nonempty, walk_stats.num_nonempty);
+    EXPECT_EQ(runs_stats.total_pages, walk_stats.total_pages);
+    EXPECT_EQ(runs_stats.total_seeks, walk_stats.total_seeks);
+    EXPECT_EQ(runs_stats.total_normalized, walk_stats.total_normalized);
+  }
+}
+
 TEST_P(RankRunRandomizedTest, SimulatorMatchesCellWalk) {
   Rng rng(GetParam() * 607);
   auto schema = RandomSchema(&rng, 512);
@@ -500,34 +533,32 @@ TEST_P(RankRunRandomizedTest, SimulatorMatchesCellWalk) {
     facts->AddRecord(schema->Unflatten(rng.Below(schema->num_cells())), 1.0);
   }
   const StorageConfig config{64 + rng.Below(512), 16};
-  const QueryClassLattice lat(*schema);
 
   for (auto& lin : RandomStrategies(schema, &rng)) {
     const auto layout = PackedLayout::Pack(lin, facts, config).value();
-    const IoSimulator sim(layout);
-    for (uint64_t i = 0; i < lat.size(); ++i) {
-      const QueryClass cls = lat.ClassAt(i);
-      // Query-by-query: run-based Measure equals the cell walk exactly.
-      const uint64_t num_queries = NumQueriesInClass(*schema, cls);
-      for (uint64_t q = 0; q < num_queries; ++q) {
-        const GridQuery query = QueryAt(*schema, cls, q);
-        const QueryIo runs_io = sim.Measure(query);
-        const QueryIo walk_io = sim.MeasureCellWalk(query);
-        EXPECT_EQ(runs_io.records, walk_io.records) << query.ToString();
-        EXPECT_EQ(runs_io.pages, walk_io.pages) << query.ToString();
-        EXPECT_EQ(runs_io.seeks, walk_io.seeks) << query.ToString();
-        EXPECT_EQ(runs_io.min_pages, walk_io.min_pages) << query.ToString();
-      }
-      // Class aggregates: both paths produce identical stats, including the
-      // bit-identical normalized-blocks sum (same summation order).
-      const ClassIoStats runs_stats = sim.MeasureClass(cls);
-      const ClassIoStats walk_stats = sim.MeasureClassCellWalk(cls);
-      EXPECT_EQ(runs_stats.num_queries, walk_stats.num_queries);
-      EXPECT_EQ(runs_stats.num_nonempty, walk_stats.num_nonempty);
-      EXPECT_EQ(runs_stats.total_pages, walk_stats.total_pages);
-      EXPECT_EQ(runs_stats.total_seeks, walk_stats.total_seeks);
-      EXPECT_EQ(runs_stats.total_normalized, walk_stats.total_normalized);
+    CheckSimulatorAgainstCellWalk(layout);
+    // The same facts on the micro-partition backend, cut as finely as
+    // clean page boundaries allow so the zone maps have edges to prune at.
+    StorageConfig micro_config = config;
+    micro_config.micro_partition_pages = 1;
+    const auto micro = MakeStorageBackend(StorageBackendKind::kMicroPartition,
+                                          lin, facts, micro_config)
+                           .value();
+    // A partition can only close where a cell starts a fresh page; when the
+    // packing has such a boundary, the backend must have used it.
+    bool clean_boundary = false;
+    int64_t last_page = -1;
+    for (uint64_t r = 0; r < lin->num_cells(); ++r) {
+      if (layout.CellEmpty(r)) continue;
+      clean_boundary = clean_boundary ||
+                       (last_page >= 0 &&
+                        static_cast<int64_t>(layout.CellFirstPage(r)) > last_page);
+      last_page = static_cast<int64_t>(layout.CellLastPage(r));
     }
+    if (clean_boundary) {
+      EXPECT_GE(micro->num_partitions(), 2u) << lin->name();
+    }
+    CheckSimulatorAgainstCellWalk(*micro);
   }
 }
 
@@ -536,16 +567,32 @@ TEST_P(RankRunRandomizedTest, ExpectedCostMatchesEdgeWalk) {
   auto schema = RandomSchema(&rng, 1024);
   const QueryClassLattice lat(*schema);
   const Workload mu = Workload::Random(lat, &rng);
+  // `mu` weights the leaf class, so its classes hold more queries than the
+  // grid has cells and the uncached fill is one edge walk. `coarse` keeps
+  // only the coarsest classes whose queries number at most the cells in
+  // total, so there strategies with a run decomposition count each class's
+  // runs, as cached fills always do.
+  std::vector<double> p(lat.size(), 0.0);
+  uint64_t queries = 0;
+  for (uint64_t i = lat.size(); i-- > 0;) {
+    const uint64_t q = NumQueriesInClass(*schema, lat.ClassAt(i));
+    if (queries + q > schema->num_cells()) continue;
+    queries += q;
+    p[i] = mu.probability_at(i);
+  }
+  const Workload coarse = Workload::FromDense(lat, p, true).value();
   for (auto& lin : RandomStrategies(schema, &rng)) {
-    const double edge =
-        MeasureExpectedCost(mu, *lin, {}, CostEvalMode::kEdgeWalk);
-    const double runs =
-        MeasureExpectedCost(mu, *lin, {}, CostEvalMode::kRankRuns);
-    const double autod = MeasureExpectedCost(mu, *lin);
-    // Bit-identical, not just close: the run path feeds the same per-class
-    // integers through the same summation.
-    EXPECT_EQ(edge, runs) << lin->name();
-    EXPECT_EQ(edge, autod) << lin->name();
+    const ClassCostTable oracle = MeasureClassCosts(*lin);
+    for (const Workload* w : {&mu, &coarse}) {
+      const double edge = ExpectedCost(*w, oracle);
+      const double measured = MeasureExpectedCost(*w, *lin);
+      ClassCostCache cache;
+      const double cached = MeasureExpectedCostCached(*w, *lin, &cache);
+      // Bit-identical, not just close: either fill feeds the same per-class
+      // integers through the same summation.
+      EXPECT_EQ(edge, measured) << lin->name();
+      EXPECT_EQ(edge, cached) << lin->name();
+    }
   }
 }
 

@@ -226,23 +226,37 @@ TEST(ClassCostCacheTest, EdgeWalkFillIsBitIdenticalToo) {
   const QueryClassLattice lat(*schema);
   auto lin = RowMajorOrder::Make(schema, {1, 0}).value();
   Rng rng(11);
+  // A random workload weights every class, the leaf included: the uncached
+  // evaluation takes one edge walk, and so does the materialized copy's
+  // cached fill.
   const Workload mu = Workload::Random(lat, &rng);
-  ClassCostCache cache;
-  const double cached = MeasureExpectedCostCached(mu, *lin, &cache, {},
-                                                 CostEvalMode::kEdgeWalk);
-  const double uncached =
-      MeasureExpectedCost(mu, *lin, {}, CostEvalMode::kEdgeWalk);
-  EXPECT_TRUE(SameBits(cached, uncached));
-  // The edge walk costs every class in one pass; a maximally different
-  // workload afterwards is all hits.
   const Workload point = Workload::Point(lat, QueryClass{2, 2}).value();
-  const ClassCostCache::Stats before = cache.stats();
-  const double cached_point = MeasureExpectedCostCached(
-      point, *lin, &cache, {}, CostEvalMode::kEdgeWalk);
-  EXPECT_EQ(cache.stats().misses, before.misses);
-  EXPECT_TRUE(SameBits(cached_point, MeasureExpectedCost(
-                                         point, *lin, {},
-                                         CostEvalMode::kEdgeWalk)));
+  // The fill equals the edge-walk oracle bit for bit, cached or not, on a
+  // closed-form strategy and on a materialized copy of it.
+  const std::unique_ptr<const Linearization> materialized =
+      MaterializedLinearization::From(*lin);
+  const std::vector<const Linearization*> strategies{lin.get(),
+                                                     materialized.get()};
+  for (const Linearization* strategy : strategies) {
+    const ClassCostTable oracle = MeasureClassCosts(*strategy);
+    ClassCostCache cache;
+    EXPECT_TRUE(SameBits(MeasureExpectedCostCached(mu, *strategy, &cache),
+                         ExpectedCost(mu, oracle)))
+        << strategy->name();
+    EXPECT_TRUE(SameBits(MeasureExpectedCost(mu, *strategy),
+                         ExpectedCost(mu, oracle)))
+        << strategy->name();
+    // Every class is cached now; a maximally different workload afterwards
+    // is all hits.
+    const ClassCostCache::Stats before = cache.stats();
+    EXPECT_TRUE(SameBits(MeasureExpectedCostCached(point, *strategy, &cache),
+                         ExpectedCost(point, oracle)))
+        << strategy->name();
+    EXPECT_EQ(cache.stats().misses, before.misses) << strategy->name();
+    EXPECT_TRUE(SameBits(MeasureExpectedCost(point, *strategy),
+                         ExpectedCost(point, oracle)))
+        << strategy->name();
+  }
 }
 
 TEST(ClassCostCacheTest, ClearDropsEverything) {

@@ -108,7 +108,6 @@ Recommendation DirectAdvise(const std::shared_ptr<const StarSchema>& schema,
   EvaluationRequest request{mu};
   request.strategies = config.recluster.strategies;
   request.num_threads = 1;
-  request.cost_mode = config.recluster.cost_mode;
   return advisor.AdviseIncremental(request, &state).value();
 }
 

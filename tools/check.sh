@@ -71,7 +71,7 @@ out = sys.argv[1]
 m = json.load(open(out + "/metrics.json"))
 for key in ["advisor.strategies_evaluated", "cache.hits", "cache.misses",
             "cache.evictions", "dp.cells_relaxed", "storage.pages_read",
-            "storage.seeks", "curves.runs_emitted"]:
+            "storage.seeks", "curves.runs_emitted", "cost.cache_misses"]:
     assert key in m["counters"], "missing counter " + key
 for key in ["cache.hit_rate", "dp.table_bytes"]:
     assert key in m["gauges"], "missing gauge " + key

@@ -247,7 +247,6 @@ int Run(int argc, char** argv) {
     EvaluationRequest request{mu};
     request.strategies = config.recluster.strategies;
     request.num_threads = 1;
-    request.cost_mode = config.recluster.cost_mode;
     const Recommendation direct =
         advisor.AdviseIncremental(request, &state).ValueOrDie();
     bit_identical = bit_identical && BitIdenticalRecommendations(served, direct);
