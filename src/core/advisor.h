@@ -89,7 +89,9 @@ bool BitIdenticalRecommendations(const Recommendation& a,
 /// it alive across epochs and the advisor fills it as it goes. The caches
 /// only ever hold workload-independent per-class integers (cost_cache) and
 /// exactly-verified DP solutions (dp_cache), so reuse across epochs is
-/// bit-identical to advising from scratch — just cheaper.
+/// bit-identical to advising from scratch — just cheaper. A service tenant's
+/// advise-verb state shares its engine state's class-cost table
+/// (ClassCostCache::ShareTable); dp_cache and the counters stay per state.
 struct IncrementalAdvisorState {
   ClassCostCache cost_cache;
   DpCache dp_cache;

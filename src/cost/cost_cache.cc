@@ -11,25 +11,18 @@ namespace snakes {
 
 ClassCostCache::StrategyCosts* ClassCostCache::Strategy(
     const std::string& name, uint64_t num_classes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  StrategyCosts& entry = strategies_[name];
-  if (entry.known.empty()) entry = StrategyCosts(num_classes);
-  SNAKES_CHECK(entry.known.size() == num_classes)
+  std::lock_guard<std::mutex> lock(table_->mu);
+  std::unique_ptr<StrategyCosts>& entry = table_->strategies[name];
+  if (entry == nullptr) entry = std::make_unique<StrategyCosts>(num_classes);
+  SNAKES_CHECK(entry->known.size() == num_classes)
       << "strategy '" << name << "' cached over a different lattice ("
-      << entry.known.size() << " classes, now " << num_classes << ")";
-  return &entry;
+      << entry->known.size() << " classes, now " << num_classes << ")";
+  return entry.get();
 }
 
 uint64_t ClassCostCache::NumStrategies() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return strategies_.size();
-}
-
-void ClassCostCache::Clear() {
-  std::lock_guard<std::mutex> lock(mu_);
-  strategies_.clear();
-  hits_.store(0, std::memory_order_relaxed);
-  misses_.store(0, std::memory_order_relaxed);
+  std::lock_guard<std::mutex> lock(table_->mu);
+  return table_->strategies.size();
 }
 
 namespace {
@@ -148,8 +141,10 @@ double MeasureExpectedCostCached(const Workload& mu, const Linearization& lin,
                                  CostEvalMode, RunArena* arena) {
   SNAKES_CHECK(cache != nullptr)
       << "MeasureExpectedCostCached requires a cache";
-  return FillAndSum(mu, lin, cache->Strategy(lin.name(), mu.lattice().size()),
-                    cache, obs, arena, "cost/measure_cached");
+  ClassCostCache::StrategyCosts* entry =
+      cache->Strategy(lin.name(), mu.lattice().size());
+  std::lock_guard<std::mutex> fill(entry->fill_mu);
+  return FillAndSum(mu, lin, entry, cache, obs, arena, "cost/measure_cached");
 }
 
 }  // namespace snakes

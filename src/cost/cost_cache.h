@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <unordered_map>
@@ -31,10 +32,12 @@ namespace snakes {
 /// bit for bit regardless of which fill wrote it (run counting and the edge
 /// walk agree exactly; see tests/rank_run_test).
 ///
-/// Thread-safety: the strategy map is mutex-guarded and the counters are
-/// atomic, so concurrent Evaluate tasks may fill *different* strategies'
-/// entries in parallel (the advisor's one-task-per-strategy decomposition).
-/// Concurrent calls for the same strategy are not supported.
+/// Caches can share one table (ShareTable): a service tenant's advise verb
+/// and its ReclusterEngine fill the same entries, each with its own hit/miss
+/// counters. Thread-safety: the strategy map is mutex-guarded, entries are
+/// node-stable, counters atomic, and MeasureExpectedCostCached holds an
+/// entry's fill lock across its fill-and-sum, so any calls may run at once;
+/// two on one strategy serialize, and the second hits what the first filled.
 class ClassCostCache {
  public:
   /// Cumulative hit/miss counts. A miss is one per-class cost evaluation —
@@ -56,16 +59,18 @@ class ClassCostCache {
     std::vector<uint64_t> fragments;
     std::vector<uint64_t> queries;
     std::vector<char> known;
+    std::mutex fill_mu;
   };
 
-  ClassCostCache() = default;
-
   /// The memo for `name`, created empty (sized `num_classes`) on first use.
-  /// The returned pointer is stable for the cache's lifetime.
+  /// The returned pointer is stable while any cache holds the table.
   StrategyCosts* Strategy(const std::string& name, uint64_t num_classes);
 
   /// Number of distinct strategies with at least one costed class.
   uint64_t NumStrategies() const;
+
+  /// Shares `other`'s table, keeping this cache's counters. Call before use.
+  void ShareTable(const ClassCostCache& other) { table_ = other.table_; }
 
   Stats stats() const {
     return {hits_.load(std::memory_order_relaxed),
@@ -77,12 +82,12 @@ class ClassCostCache {
     misses_.fetch_add(n, std::memory_order_relaxed);
   }
 
-  /// Drops every memo and zeroes the counters.
-  void Clear();
-
  private:
-  mutable std::mutex mu_;
-  std::unordered_map<std::string, StrategyCosts> strategies_;
+  struct Table {
+    std::mutex mu;
+    std::unordered_map<std::string, std::unique_ptr<StrategyCosts>> strategies;
+  };
+  std::shared_ptr<Table> table_ = std::make_shared<Table>();
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
 };
@@ -97,10 +102,10 @@ class ClassCostCache {
 /// Linearization::ClassRunsDegenerate classes, else the run count of one
 /// AppendClassRuns pass. Classes with zero probability are neither computed
 /// nor charged. `cache` must not be null; pass the same instance across
-/// epochs to amortize. The mode argument is ignored; it is kept while the
-/// perf ledger still passes one. `arena` (optional) is per-thread reusable
-/// run storage for the per-class fills — identical fragment integers either
-/// way.
+/// epochs to amortize; it is charged this call's hits and misses. The mode
+/// argument is ignored; it is kept while the perf ledger still passes one.
+/// `arena` (optional) is per-thread reusable run storage for the per-class
+/// fills — identical fragment integers either way.
 double MeasureExpectedCostCached(const Workload& mu, const Linearization& lin,
                                  ClassCostCache* cache, const ObsSink& obs = {},
                                  CostEvalMode = CostEvalMode::kAuto,

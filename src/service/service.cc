@@ -164,7 +164,9 @@ struct AdvisorService::Tenant {
                        ? engine_config.cost_model
                        : DefaultCostModel()),
         engine(schema, facts, engine_config),
-        slo(slo_buckets) {}
+        slo(slo_buckets) {
+    advise_state.cost_cache.ShareTable(engine.state().cost_cache);
+  }
 
   TenantId id;
   const std::string name;
@@ -174,7 +176,8 @@ struct AdvisorService::Tenant {
   const QueryClassLattice lattice;
   const ClusteringAdvisor advisor;
 
-  /// Guards the workload state: window, advise memo, open-epoch counts.
+  /// Guards the workload state: window, advise memo (its class-cost table is
+  /// the engine's, guarded by per-strategy fill locks), open-epoch counts.
   mutable std::mutex state_mu;
   WindowDriftEstimator window;
   IncrementalAdvisorState advise_state;

@@ -150,9 +150,10 @@ struct TenantStatus {
 ///
 /// Thread-safety: every public method is safe to call concurrently. Per
 /// tenant, workload state (window + advise memo) is guarded by one mutex,
-/// the recluster engine by another, and the published epoch pointer by a
-/// third held only for pointer copies — readers never wait on an advise or
-/// a relayout. Warm results are bit-identical to direct library calls
+/// the recluster engine by another, the class-cost table they share by
+/// per-strategy fill locks, and the epoch pointer by one held only for
+/// pointer copies — readers never wait on an advise or a relayout. Warm
+/// results are bit-identical to direct library calls
 /// (BitIdenticalRecommendations): the service adds no numeric state of its
 /// own, only memoization that is already exact.
 class AdvisorService {

@@ -54,11 +54,11 @@ IoSimulator::IoSimulator(const StorageBackend& backend, const ObsSink& obs,
                          RunArena* arena)
     : backend_(backend),
       arena_(arena != nullptr ? arena : &owned_arena_),
-      tracer_(obs.tracer) {
+      tracer_(obs.tracer),
+      metrics_(obs.metrics) {
   if (obs.metrics != nullptr) {
     pages_read_ = obs.metrics->GetCounter("storage.pages_read");
     seeks_ = obs.metrics->GetCounter("storage.seeks");
-    cells_scanned_ = obs.metrics->GetCounter("storage.cells_scanned");
     runs_emitted_ = obs.metrics->GetCounter("curves.runs_emitted");
     partitions_scanned_ =
         obs.metrics->GetCounter("storage.partitions_scanned");
@@ -157,7 +157,7 @@ QueryIo IoSimulator::MeasureCellWalk(const GridQuery& query) const {
   if (pages_read_ != nullptr) {
     pages_read_->Inc(io.pages);
     seeks_->Inc(io.seeks);
-    cells_scanned_->Inc(ranks.size());
+    metrics_->GetCounter("storage.cells_scanned")->Inc(ranks.size());
   }
   return io;
 }
@@ -251,7 +251,7 @@ ClassIoStats IoSimulator::MeasureClassCellWalk(const QueryClass& cls) const {
   if (pages_read_ != nullptr) {
     pages_read_->Inc(stats.total_pages);
     seeks_->Inc(stats.total_seeks);
-    cells_scanned_->Inc(schema.num_cells());
+    metrics_->GetCounter("storage.cells_scanned")->Inc(schema.num_cells());
   }
   return stats;
 }

@@ -148,9 +148,9 @@ class IoSimulator {
   mutable RunArena owned_arena_;
   RunArena* arena_ = nullptr;
   Tracer* tracer_ = nullptr;
+  MetricsRegistry* metrics_ = nullptr;
   Counter* pages_read_ = nullptr;
   Counter* seeks_ = nullptr;
-  Counter* cells_scanned_ = nullptr;
   Counter* runs_emitted_ = nullptr;
   Counter* partitions_scanned_ = nullptr;
   Counter* partitions_pruned_ = nullptr;

@@ -14,13 +14,16 @@
 
 #include "core/advisor.h"
 #include "core/evaluation.h"
+#include "curves/row_major.h"
 #include "hierarchy/hierarchy.h"
 #include "hierarchy/star_schema.h"
 #include "lattice/workload.h"
 #include "obs/metrics.h"
 #include "obs/obs.h"
 #include "obs/trace.h"
+#include "storage/executor.h"
 #include "storage/fact_table.h"
+#include "storage/pager.h"
 #include "util/rng.h"
 
 namespace snakes {
@@ -315,6 +318,35 @@ TEST_F(InstrumentedAdviseTest, PopulatesMetricsAndTrace) {
                                           return e.category == "strategy";
                                         }));
   EXPECT_EQ(strategy_spans, rec.value().ranked.size());
+}
+
+TEST_F(InstrumentedAdviseTest, CellsScannedIsExportedOnlyByTheCellWalks) {
+  MetricsRegistry metrics;
+  const ObsSink obs{&metrics, nullptr};
+  const auto layout =
+      PackedLayout::Pack(RowMajorOrder::Make(schema_, {0, 1}).value(), facts_);
+  ASSERT_TRUE(layout.ok()) << layout.status().message();
+  const IoSimulator sim(layout.value(), obs);
+  const auto exported = [&metrics](std::string_view name) {
+    const MetricsSnapshot snap = metrics.Snapshot();
+    return std::any_of(snap.counters.begin(), snap.counters.end(),
+                       [&](const auto& c) { return c.first == name; });
+  };
+
+  GridQuery query;
+  query.cls = QueryClass{1, 1};
+  query.block.resize(2);
+  query.block[0] = 1;
+  query.block[1] = 0;
+  sim.Measure(query);
+  sim.MeasureClass(QueryClass{1, 1});
+  // The production paths ran and exported their counters, but not the
+  // oracle-only cell count.
+  EXPECT_GT(metrics.Snapshot().counter("storage.seeks"), 0u);
+  EXPECT_FALSE(exported("storage.cells_scanned"));
+
+  sim.MeasureCellWalk(query);
+  EXPECT_GT(metrics.Snapshot().counter("storage.cells_scanned"), 0u);
 }
 
 TEST_F(InstrumentedAdviseTest, RecommendationIsIdenticalWithAndWithoutObs) {

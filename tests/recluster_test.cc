@@ -4,6 +4,7 @@
 #include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/advisor.h"
@@ -259,17 +260,40 @@ TEST(ClassCostCacheTest, EdgeWalkFillIsBitIdenticalToo) {
   }
 }
 
-TEST(ClassCostCacheTest, ClearDropsEverything) {
-  auto schema = SmallSchema();
+TEST(ClassCostCacheTest, SharedTableFillsEachClassOnceAcrossThreads) {
+  // Two consumers of one table (a service tenant's advise verb and its
+  // recluster engine) cost the same strategy at the same time: the
+  // strategy's fill lock lets one fill while the other waits and then hits.
+  auto a = Hierarchy::Uniform("a", {4, 4, 4}).value();
+  auto b = Hierarchy::Uniform("b", {2, 8, 2}).value();
+  auto schema =
+      std::make_shared<StarSchema>(StarSchema::Make("s", {a, b}).value());
   const QueryClassLattice lat(*schema);
-  auto lin = RowMajorOrder::Make(schema, {0, 1}).value();
-  ClassCostCache cache;
-  MeasureExpectedCostCached(Workload::Uniform(lat), *lin, &cache);
-  EXPECT_GT(cache.stats().misses, 0u);
-  cache.Clear();
-  EXPECT_EQ(cache.stats().misses, 0u);
-  EXPECT_EQ(cache.stats().hits, 0u);
-  EXPECT_EQ(cache.NumStrategies(), 0u);
+  auto lin = RowMajorOrder::Make(schema, {1, 0}).value();
+  Rng rng(29);
+  for (int trial = 0; trial < 8; ++trial) {
+    const Workload mu = Workload::Random(lat, &rng);
+    uint64_t nonzero = 0;
+    for (uint64_t i = 0; i < lat.size(); ++i) {
+      nonzero += mu.probability_at(i) != 0.0 ? 1 : 0;
+    }
+    const double expected = MeasureExpectedCost(mu, *lin);
+    ClassCostCache first;
+    ClassCostCache second;
+    second.ShareTable(first);
+    double second_cost = 0.0;
+    std::thread other(
+        [&] { second_cost = MeasureExpectedCostCached(mu, *lin, &second); });
+    const double first_cost = MeasureExpectedCostCached(mu, *lin, &first);
+    other.join();
+    EXPECT_TRUE(SameBits(first_cost, expected)) << "trial " << trial;
+    EXPECT_TRUE(SameBits(second_cost, expected)) << "trial " << trial;
+    EXPECT_EQ(first.stats().hits + first.stats().misses, nonzero);
+    EXPECT_EQ(second.stats().hits + second.stats().misses, nonzero);
+    EXPECT_EQ(first.stats().misses + second.stats().misses, nonzero);
+    EXPECT_EQ(first.NumStrategies(), 1u);
+    EXPECT_EQ(second.NumStrategies(), 1u);
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -49,14 +49,16 @@ ctest --test-dir "$ROOT/build-portable" --output-on-failure -j "$JOBS" \
 # of src/service is the part of the tree where a silent race would corrupt
 # results instead of crashing, so the service suites (including the seeded
 # InterleaveDriver schedules) get an explicit pass under both the Release
-# and the TSan builds on top of the full-matrix runs above.
+# and the TSan builds on top of the full-matrix runs above. ClassCostCache
+# rides along: a tenant's advise verb and recluster engine fill one shared
+# class-cost table concurrently.
 echo "==> [service] release leg"
 ctest --test-dir "$ROOT/build-release" --output-on-failure -j "$JOBS" \
-  -R 'Service(Registration|Advise|Query|Epoch|Submit|Dispatch|Interleave|Fuzz|Telemetry)|FlightRecorder|SloWindow'
+  -R 'Service(Registration|Advise|Query|Epoch|Submit|Dispatch|Interleave|Fuzz|Telemetry)|FlightRecorder|SloWindow|ClassCostCache'
 echo "==> [service] tsan leg"
 TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
 ctest --test-dir "$ROOT/build-tsan" --output-on-failure -j "$JOBS" \
-  -R 'Service(Registration|Advise|Query|Epoch|Submit|Dispatch|Interleave|Fuzz|Telemetry)|FlightRecorder|SloWindow'
+  -R 'Service(Registration|Advise|Query|Epoch|Submit|Dispatch|Interleave|Fuzz|Telemetry)|FlightRecorder|SloWindow|ClassCostCache'
 
 # Observability smoke: run the instrumented end-to-end report on the tiny
 # TPC-D grid and validate that both artifacts parse and carry the headline
