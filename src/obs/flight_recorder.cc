@@ -59,26 +59,24 @@ FlightRecorder::FlightRecorder(size_t capacity)
 void FlightRecorder::Record(const RequestRecord& record) {
   const uint64_t ticket =
       next_ticket_.fetch_add(1, std::memory_order_relaxed);
-  Slot& slot = slots_[ticket % slots_.size()];
+  const uint64_t capacity = slots_.size();
+  Slot& slot = slots_[ticket % capacity];
 
-  // Claim the slot: flip its sequence to "writing" (odd). A concurrent
-  // writer a full wrap ahead/behind holds it for the duration of one
-  // 9-word copy; spin until it finishes. Claims are resolved by CAS so two
-  // writers can never both think they own the slot. The sequence must be
-  // reloaded every iteration — an odd value short-circuits the CAS, and
-  // spinning on the stale load would never observe the owner's publish.
-  // Yield while the slot is held: the owner may be preempted mid-copy, and
-  // on few cores a hot spin would keep it off the CPU.
-  for (;;) {
-    uint64_t seq = slot.seq.load(std::memory_order_relaxed);
-    if ((seq & 1) == 0 &&
-        slot.seq.compare_exchange_weak(seq, seq | 1,
-                                       std::memory_order_acquire,
-                                       std::memory_order_relaxed)) {
-      break;
-    }
+  // Writers own a slot in ticket order: ticket t may write only once the
+  // previous lap's writer (ticket t - capacity) has published, so a wrap
+  // race resolves without a compare-and-swap and never lets an older record
+  // overwrite a newer one. The wait is almost always one load; yield while
+  // it is not, since the previous writer may be preempted mid-copy and on
+  // few cores a hot spin would keep it off the CPU.
+  const uint64_t prev = ticket < capacity ? 0 : 2 * (ticket - capacity + 1);
+  while (slot.seq.load(std::memory_order_acquire) != prev) {
     std::this_thread::yield();
   }
+  // Mark the slot "writing" (odd); the release fence orders the mark
+  // before the payload, so a reader that sees any new payload word also
+  // sees the sequence move.
+  slot.seq.store(2 * ticket + 1, std::memory_order_relaxed);
+  std::atomic_thread_fence(std::memory_order_release);
   uint64_t words[kPayloadWords];
   Pack(record, words);
   for (int i = 0; i < kPayloadWords; ++i) {

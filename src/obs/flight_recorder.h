@@ -43,12 +43,14 @@ struct RequestRecord {
 /// RequestRecords — the "flight recorder" a production incident is debugged
 /// from. Designed to stay enabled under full traffic:
 ///
-///  * Record is lock-free across threads: a writer claims a slot with one
-///    relaxed fetch_add on the ticket counter, then publishes the payload
-///    under a per-slot sequence word (seqlock: odd = being written, even =
-///    ticket of the last complete write). Writers colliding on the same
-///    slot (a wrap race, capacity apart) spin only against each other for
-///    the nanoseconds a 9-word copy takes; readers never block writers.
+///  * Record takes no lock and one atomic read-modify-write: a writer
+///    claims a slot with one relaxed fetch_add on the ticket counter, then
+///    publishes the payload under a per-slot sequence word (seqlock: odd =
+///    being written, even = ticket of the last complete write). Writers own
+///    a slot in ticket order, so a writer a full wrap ahead (a wrap race,
+///    capacity apart) waits only for the previous lap's 9-word copy, and an
+///    older record never overwrites a newer one; readers never block
+///    writers.
 ///  * Snapshot is safe concurrently with any number of writers: it reads
 ///    each slot's payload between two acquire-loads of the sequence word
 ///    and drops the record if the slot changed in between — torn records

@@ -12,7 +12,6 @@ SloWindow::SloWindow(int buckets)
 void SloWindow::Record(RequestVerb verb, uint64_t latency_ns, bool error) {
   const uint64_t slice = current_.load(std::memory_order_relaxed);
   Cell& c = cell(slice, static_cast<int>(verb));
-  c.count.fetch_add(1, std::memory_order_relaxed);
   c.sum.fetch_add(latency_ns, std::memory_order_relaxed);
   c.hist[std::bit_width(latency_ns)].fetch_add(1, std::memory_order_relaxed);
   if (error) c.errors.fetch_add(1, std::memory_order_relaxed);
@@ -26,7 +25,6 @@ void SloWindow::Advance() {
   // this loop may lose its sample — the window is statistical (class doc).
   for (int v = 0; v < kNumRequestVerbs; ++v) {
     Cell& c = cell(next, v);
-    c.count.store(0, std::memory_order_relaxed);
     c.errors.store(0, std::memory_order_relaxed);
     c.sum.store(0, std::memory_order_relaxed);
     for (auto& h : c.hist) h.store(0, std::memory_order_relaxed);
@@ -44,13 +42,13 @@ SloWindow::Snapshot SloWindow::Snap() const {
     std::memset(merged, 0, sizeof(merged));
     for (int s = 0; s < num_buckets_; ++s) {
       const Cell& c = cell(static_cast<uint64_t>(s), v);
-      stats.count += c.count.load(std::memory_order_relaxed);
       stats.errors += c.errors.load(std::memory_order_relaxed);
       stats.sum_ns += c.sum.load(std::memory_order_relaxed);
       for (int b = 0; b < Histogram::kNumBuckets; ++b) {
         merged[b] += c.hist[b].load(std::memory_order_relaxed);
       }
     }
+    for (const uint64_t b : merged) stats.count += b;
     if (stats.count > 0) {
       stats.error_rate = static_cast<double>(stats.errors) /
                          static_cast<double>(stats.count);

@@ -65,9 +65,9 @@ class SloWindow {
   Snapshot Snap() const;
 
  private:
-  /// One (slice, verb) accumulator.
+  /// One (slice, verb) accumulator. The request count is the histogram's
+  /// total, so Record pays no separate count add.
   struct Cell {
-    std::atomic<uint64_t> count{0};
     std::atomic<uint64_t> errors{0};
     std::atomic<uint64_t> sum{0};
     std::atomic<uint64_t> hist[Histogram::kNumBuckets] = {};
