@@ -190,9 +190,13 @@ Result<EpochReport> ReclusterEngine::OnEpoch(const Workload& epoch_mu) {
         proposed_backend,
         MakeStorageBackend(config_.backend, best_lin, facts_, config_.storage,
                            config_.obs));
-    SNAKES_ASSIGN_OR_RETURN(
-        report.movement,
-        ComputeMovementCost(*current_backend_, *proposed_backend));
+    {
+      ScopedSpan movement_span(config_.obs.tracer, "recluster/movement",
+                               "recluster");
+      SNAKES_ASSIGN_OR_RETURN(
+          report.movement,
+          ComputeMovementCost(*current_backend_, *proposed_backend));
+    }
     pages_moved = report.movement.pages_moved();
     if (config_.movement_budget_pages > 0 &&
         pages_moved > config_.movement_budget_pages) {

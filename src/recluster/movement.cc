@@ -3,6 +3,32 @@
 #include <vector>
 
 namespace snakes {
+namespace {
+
+/// Run-granularity price of the moved runs as `side` lays them out: sweeps
+/// ranks [from, n) of `side` in order, where `other[r]` is the rank of
+/// side's rank-r cell in the other backend, so a run continues exactly while
+/// `other` stays consecutive. Each run with >= 1 record costs its page span
+/// as one sequential unit. The prefix arrays are read in rank order.
+RewriteIo SweepRuns(const StorageBackend& side,
+                    const std::vector<uint64_t>& other, uint64_t from) {
+  RewriteIo io;
+  const uint64_t n = other.size();
+  uint64_t r = from;
+  while (r < n) {
+    uint64_t len = 1;
+    while (r + len < n && other[r + len] == other[r] + len) ++len;
+    const StorageBackend::RangeIo range = side.MeasureRange(r, len);
+    if (range.records > 0) {
+      io.pages += range.last_page - range.first_page + 1;
+      ++io.units;
+    }
+    r += len;
+  }
+  return io;
+}
+
+}  // namespace
 
 Result<MovementCost> ComputeMovementCost(const StorageBackend& current,
                                          const StorageBackend& proposed) {
@@ -20,38 +46,39 @@ Result<MovementCost> ComputeMovementCost(const StorageBackend& current,
   MovementCost cost;
   cost.total_cells = n;
 
-  // Where each proposed rank's cell lives today.
+  // Where each proposed rank's cell lives today, from one sweep of each
+  // order: cell id -> current rank, then proposed rank -> current rank.
+  // Both sweeps flatten coordinates through the current grid's schema.
+  const StarSchema& schema = current.linearization().schema();
+  std::vector<uint64_t> rank_map(n);
+  current.linearization().Walk([&](uint64_t rank, const CellCoord& coord) {
+    rank_map[schema.Flatten(coord)] = rank;
+  });
   std::vector<uint64_t> source(n);
-  for (uint64_t r = 0; r < n; ++r) {
-    source[r] =
-        current.linearization().RankOf(proposed.linearization().CellAt(r));
-  }
+  proposed.linearization().Walk([&](uint64_t rank, const CellCoord& coord) {
+    source[rank] = rank_map[schema.Flatten(coord)];
+  });
 
   uint64_t stable = 0;
   while (stable < n && source[stable] == stable) ++stable;
   cost.stable_prefix_cells = stable;
 
-  // Decompose the remainder into maximal runs consecutive in the source.
-  // The permutation structure (moved_runs, moved_records) is granularity
-  // independent; each backend then prices the same run lists at its own
-  // rewrite granularity.
-  std::vector<RankRun> src_ranges;  // disjoint on `current`, unsorted
-  std::vector<RankRun> dst_ranges;  // sorted and disjoint on `proposed`
-  uint64_t r = stable;
-  while (r < n) {
-    uint64_t len = 1;
-    while (r + len < n && source[r + len] == source[r] + len) ++len;
-    const StorageBackend::RangeIo src = current.MeasureRange(source[r], len);
-    if (src.records > 0) {
-      ++cost.moved_runs;
-      cost.moved_records += src.records;
-      src_ranges.push_back(RankRun{source[r], len});
-      dst_ranges.push_back(RankRun{r, len});
-    }
-    r += len;
-  }
-  const RewriteIo read = current.RewriteReadIo(src_ranges);
-  const RewriteIo write = proposed.RewriteWriteIo(dst_ranges);
+  // The remainder decomposes into maximal runs consecutive in both orders.
+  // They tile [stable, n) on each side, so the records they move are the
+  // current side's records past the stable prefix, and the permutation
+  // structure (moved_runs) is one sweep in proposed order. Each backend then
+  // prices the same runs at its own rewrite granularity, sweeping them in
+  // its own rank order.
+  cost.moved_records = current.MeasureRange(stable, n - stable).records;
+  const RewriteIo write_runs = SweepRuns(proposed, source, stable);
+  cost.moved_runs = write_runs.units;
+  const RewriteIo write =
+      proposed.PriceRewrite(stable, [&write_runs] { return write_runs; });
+  const RewriteIo read = current.PriceRewrite(stable, [&] {
+    // rank_map becomes dest: current rank -> proposed rank.
+    for (uint64_t r = 0; r < n; ++r) rank_map[source[r]] = r;
+    return SweepRuns(current, rank_map, stable);
+  });
   cost.pages_read = read.pages;
   cost.pages_written = write.pages;
   cost.partitions_read = read.partitions;

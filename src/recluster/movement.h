@@ -13,9 +13,20 @@ namespace snakes {
 /// of the permutation between the two backends, not record by record: the
 /// proposed rank order is decomposed into maximal runs that are already
 /// consecutive in the current order, and each side prices those runs at its
-/// own rewrite granularity (StorageBackend::RewriteReadIo / RewriteWriteIo
-/// — page spans per run for PackedLayout, whole immutable partitions for
+/// own rewrite granularity (StorageBackend::PriceRewrite — page spans per
+/// run for PackedLayout, whole immutable partitions for
 /// MicroPartitionStore).
+///
+/// The pricing is a handful of rank-order sweeps. One Walk of each order
+/// gives the source map (proposed rank -> current rank) without a per-cell
+/// CellAt or RankOf. The runs are then counted twice, each time along one
+/// backend's own rank order (proposed order over the source map, current
+/// order over its inverse), so every MeasureRange reads that backend's
+/// prefix arrays sequentially; no run list is materialized. At partition
+/// granularity the moved runs tile the suffix past the stable prefix on
+/// both sides, so a partition is rewritten exactly when it holds a record
+/// in that suffix: O(partitions), and the current side's inverse map is
+/// never built.
 struct MovementCost {
   /// Cells of the grid (ranks in either backend).
   uint64_t total_cells = 0;
@@ -44,9 +55,9 @@ struct MovementCost {
 };
 
 /// Prices rewriting `current` into `proposed`. Both backends must pack the
-/// same number of cells and records (same grid, same fact table); they need
-/// not be the same backend kind — each side is priced at its own rewrite
-/// granularity. Identical cell orders cost exactly zero.
+/// same grid and the same fact table (checked by cell and record totals);
+/// they need not be the same backend kind — each side is priced at its own
+/// rewrite granularity. Identical cell orders cost exactly zero.
 Result<MovementCost> ComputeMovementCost(const StorageBackend& current,
                                          const StorageBackend& proposed);
 

@@ -978,6 +978,8 @@ void AdvisorService::AuditDecision(const Tenant* tenant,
   entry.proposed_cost = report.proposed_cost;
   entry.relative_improvement = report.relative_improvement;
   entry.net_benefit = report.net_benefit;
+  entry.benefit_ms = report.benefit_ms;
+  entry.movement_ms = report.movement_ms;
   entry.pages_moved = report.movement.pages_moved();
   entry.current_strategy = report.current_strategy;
   entry.proposed_strategy = report.proposed_strategy;

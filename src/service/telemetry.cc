@@ -59,6 +59,8 @@ std::string ReclusterAuditEntry::ToJson() const {
   out += ", \"proposed_cost\": " + PromNumber(proposed_cost);
   out += ", \"relative_improvement\": " + PromNumber(relative_improvement);
   out += ", \"net_benefit\": " + PromNumber(net_benefit);
+  out += ", \"benefit_ms\": " + PromNumber(benefit_ms);
+  out += ", \"movement_ms\": " + PromNumber(movement_ms);
   out += ", \"pages_moved\": " + std::to_string(pages_moved);
   out += ", \"current_strategy\": \"" + JsonEscape(current_strategy) + "\"";
   out += ", \"proposed_strategy\": \"" + JsonEscape(proposed_strategy) + "\"";

@@ -51,6 +51,10 @@ struct ReclusterAuditEntry {
   double proposed_cost = 0.0;
   double relative_improvement = 0.0;
   double net_benefit = 0.0;
+  /// The two sides of net_benefit (EpochReport::benefit_ms / movement_ms):
+  /// modeled query-time savings and modeled rewrite time, in ms.
+  double benefit_ms = 0.0;
+  double movement_ms = 0.0;
   uint64_t pages_moved = 0;
   std::string current_strategy;
   std::string proposed_strategy;

@@ -32,7 +32,8 @@ Result<StorageBackendKind> ParseStorageBackendKind(std::string_view name) {
 
 Status StorageBackend::PackPages(std::shared_ptr<const Linearization> lin,
                                  std::shared_ptr<const FactTable> facts,
-                                 StorageConfig config, const ObsSink& obs) {
+                                 StorageConfig config, const ObsSink& obs,
+                                 const CellHook& on_cell) {
   ScopedSpan span(obs.tracer, "storage/pack", "storage");
   span.AddArg("strategy", lin->name());
   if (config.record_size_bytes == 0 ||
@@ -89,6 +90,7 @@ Status StorageBackend::PackPages(std::shared_ptr<const Linearization> lin,
     }
     next_first_page_[rank] = first;
     prev_last_page_[rank + 1] = page;
+    if (on_cell) on_cell(rank, coord, id);
   });
   num_pages_ = page + (used > 0 ? 1 : 0);
   uint64_t first_page_so_far = 0;
@@ -126,18 +128,6 @@ StorageBackend::RangeIo StorageBackend::MeasureRange(uint64_t start,
   io.cents = cum_cents_[end] - cum_cents_[start];
   io.first_page = next_first_page_[start];
   io.last_page = prev_last_page_[end];
-  return io;
-}
-
-RewriteIo StorageBackend::RunGranularityIo(
-    const std::vector<RankRun>& ranges) const {
-  RewriteIo io;
-  for (const RankRun& r : ranges) {
-    const RangeIo range = MeasureRange(r.start, r.len);
-    if (range.records == 0) continue;
-    io.pages += range.last_page - range.first_page + 1;
-    ++io.units;
-  }
   return io;
 }
 

@@ -2,12 +2,12 @@
 #define SNAKES_STORAGE_BACKEND_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <string_view>
 #include <vector>
 
 #include "curves/linearization.h"
-#include "curves/rank_run.h"
 #include "lattice/grid_query.h"
 #include "obs/obs.h"
 #include "storage/fact_table.h"
@@ -106,7 +106,7 @@ struct RewriteIo {
 /// movement-cost diffs share one representation. Backends differ in the
 /// metadata layered on top: how pages group into partitions, what a query
 /// may skip without reading (PruneBox), and the granularity at which a
-/// relayout rewrites data (RewriteReadIo / RewriteWriteIo).
+/// relayout rewrites data (PriceRewrite).
 class StorageBackend {
  public:
   virtual ~StorageBackend() = default;
@@ -186,18 +186,18 @@ class StorageBackend {
     return PruneBox(box);
   }
 
-  /// Read-side I/O of relocating the record ranges in `ranges` (disjoint
-  /// rank runs on *this* backend, any order). The default prices run
-  /// granularity: each range with >= 1 record costs its contiguous page
-  /// span as one sequential unit.
-  virtual RewriteIo RewriteReadIo(const std::vector<RankRun>& ranges) const {
-    return RunGranularityIo(ranges);
-  }
-
-  /// Write-side I/O of materializing the record ranges in `ranges` at their
-  /// destination on *this* backend. Same default granularity as reads.
-  virtual RewriteIo RewriteWriteIo(const std::vector<RankRun>& ranges) const {
-    return RunGranularityIo(ranges);
+  /// One side of a relayout priced at this backend's rewrite granularity.
+  /// The relayout keeps ranks [0, moved_from) in place and moves the rest
+  /// as maximal rank runs that tile [moved_from, n). `run_io` sweeps those
+  /// runs in this backend's rank order and returns their run-granularity
+  /// price: each run with >= 1 record costs its contiguous page span as one
+  /// sequential unit. The default charges exactly that; a backend that
+  /// rewrites coarser units prices the moved suffix in closed form and
+  /// never calls `run_io`.
+  virtual RewriteIo PriceRewrite(
+      uint64_t moved_from, const std::function<RewriteIo()>& run_io) const {
+    (void)moved_from;
+    return run_io();
   }
 
  protected:
@@ -209,19 +209,25 @@ class StorageBackend {
   StorageBackend(StorageBackend&&) = default;
   StorageBackend& operator=(StorageBackend&&) = default;
 
+  /// Called by PackPages for every cell that holds records, in rank order,
+  /// right after the cell is placed: its CellRecords / CellFirstPage /
+  /// CellLastPage are final by then.
+  using CellHook =
+      std::function<void(uint64_t rank, const CellCoord& coord, CellId id)>;
+
   /// Validates the inputs and packs `facts` along `lin` into the shared
   /// page representation: the rank-prefix arrays MeasureRange and the
   /// per-cell accessors read, built in one Walk plus one backward pass.
+  /// `on_cell` (optional) rides along on that Walk, so a backend builds its
+  /// own per-cell metadata without a second sweep of the order.
   /// Fails if config is degenerate (page smaller than a record) or the
   /// linearization belongs to a different grid. `obs`
   /// (optional) records a "storage/pack" span and the storage.pages_packed /
   /// storage.records_packed counters.
   Status PackPages(std::shared_ptr<const Linearization> lin,
                    std::shared_ptr<const FactTable> facts,
-                   StorageConfig config, const ObsSink& obs);
-
-  /// Shared run-granularity rewrite pricing (the PackedLayout model).
-  RewriteIo RunGranularityIo(const std::vector<RankRun>& ranges) const;
+                   StorageConfig config, const ObsSink& obs,
+                   const CellHook& on_cell = nullptr);
 
  private:
   std::shared_ptr<const Linearization> lin_;

@@ -17,60 +17,55 @@ Result<MicroPartitionStore> MicroPartitionStore::Pack(
         "micro_partition_pages must be >= 1 page per partition");
   }
   MicroPartitionStore store;
-  Status packed =
-      store.PackPages(std::move(lin), std::move(facts), config, obs);
+  Partition open;  // the partition being filled; first_rank 0
+  Status packed = store.PackPages(
+      std::move(lin), std::move(facts), config, obs,
+      [&store, &open](uint64_t rank, const CellCoord& coord, CellId id) {
+        store.AddCell(&open, rank, coord, id);
+      });
   if (!packed.ok()) return packed;
-  Status built = store.BuildPartitions();
-  if (!built.ok()) return built;
+  const uint64_t n = store.linearization().num_cells();
+  if (n > 0) {
+    open.num_ranks = n - open.first_rank;
+    store.partitions_.push_back(open);
+  }
   return store;
 }
 
-Status MicroPartitionStore::BuildPartitions() {
-  const Linearization& lin = linearization();
-  const StarSchema& schema = lin.schema();
-  const uint64_t n = lin.num_cells();
-  const uint64_t target_pages = config().micro_partition_pages;
-  partitions_.clear();
-  if (n == 0) return Status::OK();
-
-  Partition open;
-  open.first_rank = 0;
-  lin.Walk([&](uint64_t rank, const CellCoord& coord) {
-    if (CellEmpty(rank)) return;  // empty cells ride along with their run
-    const uint64_t first = CellFirstPage(rank);
-    // Close the open partition at a clean page boundary once it is full:
-    // the next cell must start a fresh page, or the two partitions would
-    // share one (mutable) page and lose their immutability.
-    if (open.records > 0 && open.last_page - open.first_page + 1 >= target_pages &&
-        first > open.last_page) {
-      open.num_ranks = rank - open.first_rank;
-      partitions_.push_back(open);
-      open = Partition{};
-      open.first_rank = rank;
+void MicroPartitionStore::AddCell(Partition* open_partition, uint64_t rank,
+                                  const CellCoord& coord, CellId id) {
+  // Empty cells never reach here: they ride along with their run.
+  Partition& open = *open_partition;
+  const uint64_t first = CellFirstPage(rank);
+  // Close the open partition at a clean page boundary once it is full:
+  // the next cell must start a fresh page, or the two partitions would
+  // share one (mutable) page and lose their immutability.
+  if (open.records > 0 &&
+      open.last_page - open.first_page + 1 >= config().micro_partition_pages &&
+      first > open.last_page) {
+    open.num_ranks = rank - open.first_rank;
+    partitions_.push_back(open);
+    open = Partition{};
+    open.first_rank = rank;
+  }
+  const double cell_min = facts().measure_min(id);
+  const double cell_max = facts().measure_max(id);
+  if (open.records == 0) {
+    open.first_page = first;
+    open.zone_lo = coord;
+    open.zone_hi = coord;
+    open.measure_lo = cell_min;
+    open.measure_hi = cell_max;
+  } else {
+    for (size_t d = 0; d < coord.size(); ++d) {
+      open.zone_lo[d] = std::min(open.zone_lo[d], coord[d]);
+      open.zone_hi[d] = std::max(open.zone_hi[d], coord[d]);
     }
-    const CellId id = schema.Flatten(coord);
-    const double cell_min = facts().measure_min(id);
-    const double cell_max = facts().measure_max(id);
-    if (open.records == 0) {
-      open.first_page = first;
-      open.zone_lo = coord;
-      open.zone_hi = coord;
-      open.measure_lo = cell_min;
-      open.measure_hi = cell_max;
-    } else {
-      for (size_t d = 0; d < coord.size(); ++d) {
-        open.zone_lo[d] = std::min(open.zone_lo[d], coord[d]);
-        open.zone_hi[d] = std::max(open.zone_hi[d], coord[d]);
-      }
-      open.measure_lo = std::min(open.measure_lo, cell_min);
-      open.measure_hi = std::max(open.measure_hi, cell_max);
-    }
-    open.last_page = CellLastPage(rank);
-    open.records += CellRecords(rank);
-  });
-  open.num_ranks = n - open.first_rank;
-  partitions_.push_back(open);
-  return Status::OK();
+    open.measure_lo = std::min(open.measure_lo, cell_min);
+    open.measure_hi = std::max(open.measure_hi, cell_max);
+  }
+  open.last_page = CellLastPage(rank);
+  open.records += CellRecords(rank);
 }
 
 uint64_t MicroPartitionStore::PartitionOf(uint64_t rank) const {
@@ -123,42 +118,23 @@ PruneStats MicroPartitionStore::PruneBoxMeasure(
   return stats;
 }
 
-RewriteIo MicroPartitionStore::PartitionGranularityIo(
-    const std::vector<RankRun>& ranges) const {
+RewriteIo MicroPartitionStore::PriceRewrite(
+    uint64_t moved_from, const std::function<RewriteIo()>& run_io) const {
+  (void)run_io;
   RewriteIo io;
-  if (partitions_.empty()) return io;
-  std::vector<char> touched(partitions_.size(), 0);
-  for (const RankRun& r : ranges) {
-    if (r.len == 0 || MeasureRange(r.start, r.len).records == 0) continue;
-    const uint64_t end = r.start + r.len;
-    for (uint64_t p = PartitionOf(r.start);
-         p < partitions_.size() && partitions_[p].first_rank < end; ++p) {
-      if (touched[p] != 0) continue;
-      // Only the intersection's records matter: a partition overlapped
-      // purely by empty cells is not rewritten.
-      const Partition& part = partitions_[p];
-      const uint64_t lo = std::max(r.start, part.first_rank);
-      const uint64_t hi = std::min(end, part.end_rank());
-      if (MeasureRange(lo, hi - lo).records > 0) touched[p] = 1;
-    }
-  }
-  for (uint64_t p = 0; p < partitions_.size(); ++p) {
-    if (touched[p] == 0) continue;
-    io.pages += partitions_[p].num_data_pages();
+  const uint64_t n = linearization().num_cells();
+  if (moved_from >= n) return io;
+  for (uint64_t p = PartitionOf(moved_from); p < partitions_.size(); ++p) {
+    // Only records at moved ranks matter: a partition that holds nothing
+    // past moved_from, or only empty moved cells, is not rewritten.
+    const Partition& part = partitions_[p];
+    const uint64_t lo = std::max(moved_from, part.first_rank);
+    if (MeasureRange(lo, part.end_rank() - lo).records == 0) continue;
+    io.pages += part.num_data_pages();
     ++io.units;
     ++io.partitions;
   }
   return io;
-}
-
-RewriteIo MicroPartitionStore::RewriteReadIo(
-    const std::vector<RankRun>& ranges) const {
-  return PartitionGranularityIo(ranges);
-}
-
-RewriteIo MicroPartitionStore::RewriteWriteIo(
-    const std::vector<RankRun>& ranges) const {
-  return PartitionGranularityIo(ranges);
 }
 
 Result<std::shared_ptr<const StorageBackend>> MakeStorageBackend(

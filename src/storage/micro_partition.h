@@ -2,6 +2,7 @@
 #define SNAKES_STORAGE_MICRO_PARTITION_H_
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -51,7 +52,8 @@ class MicroPartitionStore : public StorageBackend {
     }
   };
 
-  /// Packs `facts` along `lin` and builds the partition directory. Fails on
+  /// Packs `facts` along `lin` and builds the partition directory on the
+  /// same Walk of the order. Fails on
   /// the same degenerate configs as PackedLayout::Pack, and additionally
   /// when config.micro_partition_pages == 0.
   static Result<MicroPartitionStore> Pack(
@@ -83,16 +85,23 @@ class MicroPartitionStore : public StorageBackend {
   PruneStats PruneBoxMeasure(const CellBox& box,
                              const MeasureBounds& bounds) const override;
 
-  /// Partition-granularity rewrite pricing: every partition whose rank
-  /// range intersects `ranges` with >= 1 record is read (written) in full.
-  RewriteIo RewriteReadIo(const std::vector<RankRun>& ranges) const override;
-  RewriteIo RewriteWriteIo(const std::vector<RankRun>& ranges) const override;
+  /// Partition-granularity rewrite pricing in closed form: the moved runs
+  /// tile [moved_from, n), so a partition is read (written) in full exactly
+  /// when it holds >= 1 record at a rank >= moved_from. O(partitions); the
+  /// runs themselves are never swept (`run_io` is not called).
+  RewriteIo PriceRewrite(
+      uint64_t moved_from,
+      const std::function<RewriteIo()>& run_io) const override;
 
  private:
   MicroPartitionStore() = default;
 
-  Status BuildPartitions();
-  RewriteIo PartitionGranularityIo(const std::vector<RankRun>& ranges) const;
+  /// Adds the non-empty cell PackPages just placed at `rank` to the
+  /// directory: it joins `open`, or first closes `open` onto partitions_
+  /// and starts a new one when `open` is full and the cell begins a fresh
+  /// page.
+  void AddCell(Partition* open, uint64_t rank, const CellCoord& coord,
+               CellId id);
 
   std::vector<Partition> partitions_;
 };

@@ -711,6 +711,50 @@ TEST(ServiceTelemetryTest, AuditLogRecordsEveryDecisionWithInputs) {
   EXPECT_NE(json.find("\"budget_pages\": 123456"), std::string::npos);
 }
 
+TEST(ServiceTelemetryTest, AuditLogRecordsTheMovementPrice) {
+  Tracer tracer;
+  ServiceConfig config = SmallConfig();
+  config.obs = ObsSink{nullptr, &tracer};
+  config.window_epochs = 1;  // smoothed == the most recent epoch
+  AdvisorService service(config);
+  const auto schema = SmallSchema();
+  const QueryClassLattice lat(*schema);
+  TenantSpec spec;
+  spec.name = "t";
+  spec.schema = schema;
+  spec.facts = DenseFacts(schema, 3);
+  spec.initial_workload = Workload::Point(lat, QueryClass{0, 2}).value();
+  const TenantId id = service.RegisterTenant(std::move(spec)).value();
+
+  // Mirror the workload so the optimal row-major order flips and the
+  // recluster prices a real rewrite.
+  for (uint64_t b = 0; b < 4; ++b) {
+    ASSERT_TRUE(service.Ingest(id, MakeQuery(2, 0, 0, b)).ok());
+  }
+  ASSERT_TRUE(service.EndEpoch(id).ok());
+  const EpochReport report = service.ReclusterNow(id).value();
+  ASSERT_GT(report.movement.pages_moved(), 0u);
+
+  const auto audit = service.audit_log().Snapshot();
+  ASSERT_FALSE(audit.empty());
+  const ReclusterAuditEntry& entry = audit.back();
+  EXPECT_EQ(entry.decision, report.decision);
+  EXPECT_GT(entry.benefit_ms, 0.0);
+  EXPECT_GT(entry.movement_ms, 0.0);
+  EXPECT_EQ(entry.benefit_ms, report.benefit_ms);
+  EXPECT_EQ(entry.movement_ms, report.movement_ms);
+  EXPECT_EQ(entry.pages_moved, report.movement.pages_moved());
+  const std::string json = entry.ToJson();
+  EXPECT_NE(json.find("\"benefit_ms\": "), std::string::npos);
+  EXPECT_NE(json.find("\"movement_ms\": "), std::string::npos);
+  // The pricing is traced as its own span beside the pack.
+  uint64_t movement_spans = 0;
+  for (const TraceEvent& e : tracer.events()) {
+    movement_spans += e.name == "recluster/movement" ? 1 : 0;
+  }
+  EXPECT_GE(movement_spans, 1u);
+}
+
 TEST(ServiceTelemetryTest, AuditLogIsBounded) {
   ReclusterAuditLog log(3);
   for (int i = 0; i < 10; ++i) log.Record(ReclusterAuditEntry{});

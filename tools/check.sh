@@ -36,14 +36,16 @@ TSAN_OPTIONS="halt_on_error=1:second_deadlock_stack=1" \
 # (-DSNAKES_FORCE_PORTABLE_KERNELS=ON) and rerun the curve/run suites — the
 # differential half of the kernel-parity contract, proving the portable
 # fallback carries the same bits on a build that can never dispatch to BMI2.
+# The movement and micro-partition suites ride along: relayout pricing and
+# the partition directory sweep the Z-curve/Hilbert Walk/CellAt kernels.
 echo "==> [portable-kernels] configure"
 cmake -B "$ROOT/build-portable" -S "$ROOT" -DCMAKE_BUILD_TYPE=Release \
   -DSNAKES_FORCE_PORTABLE_KERNELS=ON
 echo "==> [portable-kernels] build"
 cmake --build "$ROOT/build-portable" -j "$JOBS"
-echo "==> [portable-kernels] ctest (curves / rank runs / kernels)"
+echo "==> [portable-kernels] ctest (curves / rank runs / kernels / movement)"
 ctest --test-dir "$ROOT/build-portable" --output-on-failure -j "$JOBS" \
-  -R 'Curve|Curves|Hilbert|ZCurve|Gray|RankRun|BitInterleave|PathOrder|Linearization'
+  -R 'Curve|Curves|Hilbert|ZCurve|Gray|RankRun|BitInterleave|PathOrder|Linearization|Movement|MicroPartition'
 
 # Service concurrency leg: the epoch-publication and reader-pinning contract
 # of src/service is the part of the tree where a silent race would corrupt
@@ -265,6 +267,8 @@ for entry in t["audit"]:
     assert entry["decision"], "audit entry without a decision"
     assert "drift" in entry and "budget_pages" in entry and \
         "net_benefit" in entry, "audit entry missing inputs"
+    assert "benefit_ms" in entry and "movement_ms" in entry, \
+        "audit entry missing the movement price"
 print("telemetry dump ok: %d requests, %d tenants, %d audited decisions" %
       (len(reqs), len(t["tenants"]), len(t["audit"])))
 EOF
