@@ -13,9 +13,9 @@
 //      increment: the loop's records all contend on the same cache lines,
 //      where real requests spread theirs out in time.
 //
-//   2. The service's mixed-request wall time per request: the same batched
-//      query/measure/ingest/advise/end-epoch mix service_sim's phase 1
-//      drives (Submit* onto the request pool, drained in chunks), against
+//   2. The service's mixed-request wall time per request: a batched
+//      query/measure/ingest/advise/end-epoch mix (Submit* onto the
+//      request pool, drained in chunks), against
 //      a 4096-cell tenant — tiny next to a real warehouse, so per-request
 //      compute is still understated and the ratio overstated. Recorder
 //      enabled, as it always is; best-of-3.
@@ -114,8 +114,8 @@ std::shared_ptr<const FactTable> RandomFacts(
   return facts;
 }
 
-/// Wall ns per request of the batched mixed workload (service_sim's phase 1
-/// shape) against a live service (recorder enabled — it always is).
+/// Wall ns per request of the batched mixed workload against a live service
+/// (recorder enabled — it always is).
 /// Best-of-`reps`.
 double RequestNsMixed(int reps, uint64_t* out_requests) {
   auto schema = std::make_shared<StarSchema>(

@@ -41,7 +41,7 @@ namespace snakes {
 class ClassCostCache {
  public:
   /// Cumulative hit/miss counts. A miss is one per-class cost evaluation —
-  /// the unit the bench/micro_incremental_advise guard counts.
+  /// the unit IncrementalAdvisorState::last_cost_evaluations counts.
   struct Stats {
     uint64_t hits = 0;
     uint64_t misses = 0;

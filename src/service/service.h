@@ -193,8 +193,8 @@ class AdvisorService {
 
   /// Advises on the tenant's window-smoothed workload through its memoized
   /// incremental state. Bit-identical to ClusteringAdvisor::AdviseIncremental
-  /// on SmoothedWorkload(id) — the contract service_test and service_sim
-  /// verify with BitIdenticalRecommendations.
+  /// on SmoothedWorkload(id) — the contract tests/service_test.cc verifies
+  /// with BitIdenticalRecommendations, including after a recluster storm.
   Result<Recommendation> Advise(TenantId id);
 
   /// Executes an aggregate grid query against the pinned epoch's layout.

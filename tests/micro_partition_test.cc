@@ -4,8 +4,11 @@
 // conservative metadata, never a result change), its partition directory
 // must satisfy the tiling/immutability invariants, pruning must be sound
 // against a brute-force cell walk, and the partition-granularity rewrite
-// pricing must reduce to the shared permutation structure.
+// pricing must reduce to the shared permutation structure. On the TPC-D
+// warehouse the same properties hold with the quoted figures pinned.
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -29,6 +32,7 @@
 #include "storage/micro_partition.h"
 #include "storage/pager.h"
 #include "storage/query_engine.h"
+#include "tpcd_snaked_layout.h"
 #include "util/rng.h"
 
 namespace snakes {
@@ -545,6 +549,104 @@ TEST(MicroPartitionTest, FactoryAndKindNamesRoundTrip) {
   StorageConfig bad = SmallConfig();
   bad.micro_partition_pages = 0;
   EXPECT_FALSE(MicroPartitionStore::Pack(lin, facts, bad).ok());
+}
+
+// ---------------------------------------------------------------------------
+// The TPC-D warehouse: the figures EXPERIMENTS.md quotes for zone-map pruning
+// (the micro-partition claim of Liu et al., PAPERS.md), pinned exactly.
+
+struct TpcdBackends {
+  std::shared_ptr<const StorageBackend> packed;
+  std::shared_ptr<const StorageBackend> micro;
+};
+
+/// Both backends packed from the shared TPC-D layout at the paper's
+/// 125-byte records on 8 KB pages, once per test binary.
+const TpcdBackends& SharedTpcdBackends() {
+  static const TpcdBackends backends = [] {
+    const TpcdSnakedLayout& tpcd = SharedTpcdSnakedLayout();
+    TpcdBackends out;
+    out.packed = MakeStorageBackend(StorageBackendKind::kPacked, tpcd.lin,
+                                    tpcd.warehouse.facts, StorageConfig())
+                     .value();
+    out.micro = MakeStorageBackend(StorageBackendKind::kMicroPartition,
+                                   tpcd.lin, tpcd.warehouse.facts,
+                                   StorageConfig())
+                    .value();
+    return out;
+  }();
+  return backends;
+}
+
+/// Up to 256 queries of `cls`, strided so the sample spans the class instead
+/// of clustering at the rank-space origin.
+std::vector<GridQuery> SampledQueries(const StarSchema& schema,
+                                      const QueryClass& cls) {
+  const uint64_t queries = NumQueriesInClass(schema, cls);
+  const uint64_t sample = std::min<uint64_t>(queries, 256);
+  std::vector<GridQuery> out;
+  for (uint64_t s = 0; s < sample; ++s) {
+    out.push_back(QueryAt(schema, cls, s * (queries / sample)));
+  }
+  return out;
+}
+
+TEST(MicroPartitionTpcdTest, BackendsAgreeOnEveryClassAndSampledAnswer) {
+  const StarSchema& schema = *SharedTpcdSnakedLayout().warehouse.schema;
+  const TpcdBackends& tpcd = SharedTpcdBackends();
+  const IoSimulator packed_sim(*tpcd.packed);
+  const IoSimulator micro_sim(*tpcd.micro);
+  const QueryEngine packed_engine(*tpcd.packed);
+  const QueryEngine micro_engine(*tpcd.micro);
+  const QueryClassLattice lat(schema);
+  uint64_t answers = 0;
+  for (uint64_t c = 0; c < lat.size(); ++c) {
+    const QueryClass cls = lat.ClassAt(c);
+    const ClassIoStats pa = packed_sim.MeasureClass(cls);
+    const ClassIoStats mb = micro_sim.MeasureClass(cls);
+    EXPECT_EQ(pa.num_queries, mb.num_queries) << cls.ToString();
+    EXPECT_EQ(pa.num_nonempty, mb.num_nonempty) << cls.ToString();
+    EXPECT_EQ(pa.total_pages, mb.total_pages) << cls.ToString();
+    EXPECT_EQ(pa.total_seeks, mb.total_seeks) << cls.ToString();
+    EXPECT_EQ(pa.total_normalized, mb.total_normalized) << cls.ToString();
+    for (const GridQuery& query : SampledQueries(schema, cls)) {
+      const QueryAnswer a = packed_engine.Execute(query);
+      const QueryAnswer b = micro_engine.Execute(query);
+      EXPECT_EQ(a.count, b.count) << query.ToString();
+      EXPECT_EQ(a.sum, b.sum) << query.ToString();
+      ExpectSameIo(a.io, b.io, query.ToString());
+      ++answers;
+    }
+  }
+  EXPECT_EQ(answers, 2766u);
+}
+
+TEST(MicroPartitionTpcdTest, RestrictedClassesPruneMostOfTheDirectory) {
+  const StarSchema& schema = *SharedTpcdSnakedLayout().warehouse.schema;
+  const TpcdBackends& tpcd = SharedTpcdBackends();
+  EXPECT_EQ(tpcd.packed->num_pages(), 24616u);
+  EXPECT_EQ(tpcd.micro->num_pages(), 24616u);
+  EXPECT_EQ(tpcd.micro->num_partitions(), 1013u);
+
+  // Restricted classes are every class below the grid-spanning top, where
+  // the zone maps have a box edge to cut against.
+  const QueryClassLattice lat(schema);
+  uint64_t scanned = 0, pruned = 0;
+  for (uint64_t c = 0; c < lat.size(); ++c) {
+    const QueryClass cls = lat.ClassAt(c);
+    if (cls == lat.Top()) continue;
+    for (const GridQuery& query : SampledQueries(schema, cls)) {
+      const PruneStats stats = tpcd.micro->PruneBox(BoxOf(schema, query));
+      scanned += stats.scanned;
+      pruned += stats.pruned;
+    }
+  }
+  EXPECT_EQ(scanned, 77552u);
+  EXPECT_EQ(pruned, 2723393u);
+  const double fraction =
+      static_cast<double>(pruned) / static_cast<double>(scanned + pruned);
+  EXPECT_GE(fraction, 0.5);
+  EXPECT_EQ(std::lround(1000.0 * fraction), 972);  // 97.2%
 }
 
 TEST(MicroPartitionDeathTest, MeasureRangePastTheGridAborts) {

@@ -28,6 +28,7 @@
 #include "storage/executor.h"
 #include "storage/fact_table.h"
 #include "storage/pager.h"
+#include "tpcd_snaked_layout.h"
 #include "util/rng.h"
 
 namespace snakes {
@@ -492,9 +493,24 @@ TEST_P(RankRunRandomizedTest, BatchedClassEmissionHilbertAndChunked) {
 // Simulator and cost-model cross-checks: run-based evaluation must equal the
 // seed's cell walk on every number it produces.
 
+/// Class aggregates: the batched MeasureClass and MeasureClassCellWalk
+/// produce identical stats, including the bit-identical normalized-blocks
+/// sum (same summation order).
+void ExpectClassStatsMatchCellWalk(const IoSimulator& sim,
+                                   const QueryClass& cls) {
+  const ClassIoStats runs_stats = sim.MeasureClass(cls);
+  const ClassIoStats walk_stats = sim.MeasureClassCellWalk(cls);
+  EXPECT_EQ(runs_stats.num_queries, walk_stats.num_queries) << cls.ToString();
+  EXPECT_EQ(runs_stats.num_nonempty, walk_stats.num_nonempty)
+      << cls.ToString();
+  EXPECT_EQ(runs_stats.total_pages, walk_stats.total_pages) << cls.ToString();
+  EXPECT_EQ(runs_stats.total_seeks, walk_stats.total_seeks) << cls.ToString();
+  EXPECT_EQ(runs_stats.total_normalized, walk_stats.total_normalized)
+      << cls.ToString();
+}
+
 /// Every number the run-based simulator produces on `backend` must equal
-/// the cell walk's: per query, and per class (batched MeasureClass against
-/// MeasureClassCellWalk).
+/// the cell walk's: per query, and per class.
 void CheckSimulatorAgainstCellWalk(const StorageBackend& backend) {
   const StarSchema& schema = backend.linearization().schema();
   const QueryClassLattice lat(schema);
@@ -512,15 +528,7 @@ void CheckSimulatorAgainstCellWalk(const StorageBackend& backend) {
       EXPECT_EQ(runs_io.seeks, walk_io.seeks) << query.ToString();
       EXPECT_EQ(runs_io.min_pages, walk_io.min_pages) << query.ToString();
     }
-    // Class aggregates: both paths produce identical stats, including the
-    // bit-identical normalized-blocks sum (same summation order).
-    const ClassIoStats runs_stats = sim.MeasureClass(cls);
-    const ClassIoStats walk_stats = sim.MeasureClassCellWalk(cls);
-    EXPECT_EQ(runs_stats.num_queries, walk_stats.num_queries);
-    EXPECT_EQ(runs_stats.num_nonempty, walk_stats.num_nonempty);
-    EXPECT_EQ(runs_stats.total_pages, walk_stats.total_pages);
-    EXPECT_EQ(runs_stats.total_seeks, walk_stats.total_seeks);
-    EXPECT_EQ(runs_stats.total_normalized, walk_stats.total_normalized);
+    ExpectClassStatsMatchCellWalk(sim, cls);
   }
 }
 
@@ -598,6 +606,77 @@ TEST_P(RankRunRandomizedTest, ExpectedCostMatchesEdgeWalk) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, RankRunRandomizedTest,
                          ::testing::Range<uint64_t>(1, 13));
+
+// ---------------------------------------------------------------------------
+// The TPC-D layout EXPERIMENTS.md and DESIGN.md quote: the snaked uniform
+// optimum over the full 168,000-cell grid. The randomized suites above hold
+// every query to the references; here the class-level quantities are pinned
+// exactly: the per-class fragment counts and the run decomposition's
+// operation counts.
+
+TEST(RankRunTpcdTest, RunDecompositionMatchesCellWalkAndCompressesCoarseClasses) {
+  const TpcdSnakedLayout& tpcd = SharedTpcdSnakedLayout();
+  const StarSchema& schema = *tpcd.warehouse.schema;
+  const auto layout =
+      PackedLayout::Pack(tpcd.lin, tpcd.warehouse.facts).value();
+  const IoSimulator sim(layout);
+  // Coarse classes are aggregated past the leaves in the path's innermost
+  // dimension, so their boxes span whole inner blocks and runs merge. The
+  // cell walk touches every cell of every box; the simulator pays one
+  // MeasureRange per run.
+  const int inner_dim = tpcd.path.steps().front();
+  const QueryClassLattice lat(schema);
+  uint64_t cell_ops = 0, run_ops = 0;
+  std::vector<RankRun> runs;
+  for (uint64_t i = 0; i < lat.size(); ++i) {
+    const QueryClass cls = lat.ClassAt(i);
+    ExpectClassStatsMatchCellWalk(sim, cls);
+    if (cls.level(inner_dim) < 1) continue;
+    for (uint64_t q = 0; q < NumQueriesInClass(schema, cls); ++q) {
+      const CellBox box = BoxOf(schema, QueryAt(schema, cls, q));
+      runs.clear();
+      tpcd.lin->AppendRuns(box, &runs);
+      cell_ops += box.NumCells();
+      run_ops += runs.size();
+    }
+  }
+  EXPECT_EQ(cell_ops, 2016000u);
+  EXPECT_EQ(run_ops, 17566u);
+  EXPECT_GE(cell_ops, 10 * run_ops);
+}
+
+TEST(RankRunTpcdTest, BatchedEmissionMatchesPerQueryLoopAndPinnedFragments) {
+  // Per-class fragments in lattice order.
+  const std::vector<uint64_t> kFragments = {
+      168000, 164150, 164120, 167685, 163835, 163805, 4200, 350, 320,
+      3885,   35,     5,      4196,   346,    316,    3881, 31,  1};
+  const Linearization& lin = *SharedTpcdSnakedLayout().lin;
+  const StarSchema& schema = lin.schema();
+  const QueryClassLattice lat(schema);
+  std::vector<uint64_t> per_query, batched;
+  std::vector<RankRun> runs;
+  RunArena arena;
+  for (uint64_t i = 0; i < lat.size(); ++i) {
+    const QueryClass cls = lat.ClassAt(i);
+    uint64_t fragments = 0;
+    for (uint64_t q = 0; q < NumQueriesInClass(schema, cls); ++q) {
+      runs.clear();
+      lin.AppendRuns(BoxOf(schema, QueryAt(schema, cls, q)), &runs);
+      fragments += runs.size();
+    }
+    per_query.push_back(fragments);
+    // The cost path's count: the degenerate-class closed form, else one
+    // batched pass into a reused arena.
+    if (lin.ClassRunsDegenerate(cls)) {
+      batched.push_back(lin.num_cells());
+    } else {
+      lin.AppendClassRuns(cls, &arena);
+      batched.push_back(arena.num_runs());
+    }
+  }
+  EXPECT_EQ(per_query, kFragments);
+  EXPECT_EQ(batched, kFragments);
+}
 
 }  // namespace
 }  // namespace snakes

@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/advisor.h"
@@ -23,6 +24,8 @@
 #include "recluster/movement.h"
 #include "storage/fact_table.h"
 #include "storage/pager.h"
+#include "tpcd/schema.h"
+#include "tpcd/workloads.h"
 #include "util/rng.h"
 
 namespace snakes {
@@ -426,27 +429,6 @@ TEST(MovementTest, RejectsMismatchedLayouts) {
 // AdviseIncremental
 // ---------------------------------------------------------------------------
 
-bool IdenticalRecommendations(const Recommendation& a,
-                              const Recommendation& b) {
-  if (!(a.optimal_path == b.optimal_path) ||
-      !(a.optimal_snaked_path == b.optimal_snaked_path) ||
-      a.ranked.size() != b.ranked.size()) {
-    return false;
-  }
-  if (!SameBits(a.optimal_path_cost, b.optimal_path_cost) ||
-      !SameBits(a.snaked_optimal_cost, b.snaked_optimal_cost) ||
-      !SameBits(a.optimal_snaked_cost, b.optimal_snaked_cost)) {
-    return false;
-  }
-  for (size_t i = 0; i < a.ranked.size(); ++i) {
-    if (a.ranked[i].name != b.ranked[i].name ||
-        !SameBits(a.ranked[i].expected_cost, b.ranked[i].expected_cost)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 TEST(AdviseIncrementalTest, BitIdenticalToColdAdvise) {
   auto schema = SmallSchema();
   const ClusteringAdvisor advisor(schema);
@@ -460,7 +442,7 @@ TEST(AdviseIncrementalTest, BitIdenticalToColdAdvise) {
     const Recommendation cold = advisor.Advise(request).value();
     const Recommendation warm =
         advisor.AdviseIncremental(request, &state).value();
-    EXPECT_TRUE(IdenticalRecommendations(cold, warm)) << "trial " << trial;
+    EXPECT_TRUE(BitIdenticalRecommendations(cold, warm)) << "trial " << trial;
   }
 }
 
@@ -481,7 +463,39 @@ TEST(AdviseIncrementalTest, ZeroDriftReAdviseEvaluatesNothing) {
   EXPECT_GT(state.last_cost_hits, 0u);
   EXPECT_EQ(state.last_dp_hits, 2u);
   EXPECT_EQ(state.advises, 2u);
-  EXPECT_TRUE(IdenticalRecommendations(first, second));
+  EXPECT_TRUE(BitIdenticalRecommendations(first, second));
+}
+
+TEST(AdviseIncrementalTest, TpcdDriftIsServedEntirelyFromTheMemo) {
+  // Section-6 workload 7 on the paper's 200 x 10 x 84 grid, then 10% of the
+  // mass moved toward workload 21. Per-class costs are workload-independent
+  // integers, so the warm re-advise evaluates no class and still matches a
+  // from-scratch Advise bit for bit.
+  const auto schema = tpcd::BuildSharedSchema(tpcd::Config()).value();
+  const QueryClassLattice lat(*schema);
+  const ClusteringAdvisor advisor(schema);
+  const Workload base = tpcd::SectionSixWorkload(lat, 7).value();
+  const Workload target = tpcd::SectionSixWorkload(lat, 21).value();
+  std::vector<double> p(base.size());
+  for (uint64_t i = 0; i < base.size(); ++i) {
+    p[i] = 0.9 * base.probability_at(i) + 0.1 * target.probability_at(i);
+  }
+  const Workload drifted =
+      Workload::FromDense(lat, std::move(p), /*normalize=*/true).value();
+  const double tv =
+      WorkloadDelta::Between(base, drifted).value().total_variation();
+  EXPECT_LE(tv, 0.1);
+  EXPECT_NEAR(tv, 0.0776, 5e-5);
+
+  IncrementalAdvisorState state;
+  ASSERT_TRUE(advisor.AdviseIncremental(EvaluationRequest{base}, &state).ok());
+  EXPECT_EQ(state.last_cost_evaluations, 144u);
+  const Recommendation warm =
+      advisor.AdviseIncremental(EvaluationRequest{drifted}, &state).value();
+  EXPECT_EQ(state.last_cost_evaluations, 0u);
+  EXPECT_EQ(state.last_cost_hits, 144u);
+  EXPECT_TRUE(BitIdenticalRecommendations(
+      warm, advisor.Advise(EvaluationRequest{drifted}).value()));
 }
 
 TEST(AdviseIncrementalTest, ReportsCarryTheLinearization) {

@@ -12,8 +12,10 @@
 
 #include <cstdint>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -27,11 +29,13 @@
 #include "obs/metrics.h"
 #include "service/service.h"
 #include "service/telemetry.h"
+#include "storage/backend.h"
 #include "storage/fact_table.h"
 #include "storage/pager.h"
 #include "storage/query_engine.h"
 #include "interleave_driver.h"
 #include "util/result.h"
+#include "util/rng.h"
 
 namespace snakes {
 namespace {
@@ -907,6 +911,106 @@ TEST(ServiceInterleaveTest, BackgroundReclusterNeverBlocksOrTearsReaders) {
     EXPECT_GE(status.recluster_epochs, 2u);
     EXPECT_EQ(service.PinEpoch(id).value()->sequence,
               status.recluster_adoptions);
+  }
+}
+
+TEST(ServiceInterleaveTest, ReclusterStormServesLibraryAdviceOnBothBackends) {
+  // Eight tenants flip between the (2,0) and (0,2) point workloads, whose
+  // optimal row-major orders differ, every epoch. Each close fires a
+  // background recluster that repacks and publishes while readers query the
+  // request pool.
+  auto schema = SmallSchema();
+  ServiceConfig config = SmallConfig();
+  config.recluster_on_epoch_close = true;
+  config.window_epochs = 1;  // each close replaces the whole window
+  config.storage = StorageConfig{512, 60};
+  const QueryClassLattice lat(*schema);
+  const Workload sampler = Workload::Uniform(lat);
+  constexpr uint64_t kTenants = 8;
+  for (const StorageBackendKind kind :
+       {StorageBackendKind::kPacked, StorageBackendKind::kMicroPartition}) {
+    SCOPED_TRACE(StorageBackendKindName(kind));
+    MetricsRegistry metrics;
+    ServiceConfig traced = config;
+    traced.obs.metrics = &metrics;
+    AdvisorService service(traced);
+    Rng rng(1999);
+    std::vector<TenantId> ids;
+    for (uint64_t t = 0; t < kTenants; ++t) {
+      TenantSpec spec;
+      spec.name = "tenant" + std::to_string(t);
+      spec.schema = schema;
+      spec.facts = DenseFacts(schema, 1 + t % 4);
+      spec.backend = kind;
+      spec.initial_workload = Workload::Random(lat, &rng);
+      ids.push_back(service.RegisterTenant(std::move(spec)).value());
+    }
+
+    uint64_t storm_failures = 0;
+    for (int round = 0; round < 6; ++round) {
+      const QueryClass hot = round % 2 == 0 ? QueryClass{2, 0}
+                                            : QueryClass{0, 2};
+      std::vector<std::future<Result<QueryAnswer>>> answers;
+      std::vector<uint64_t> expected_counts;
+      for (uint64_t t = 0; t < kTenants; ++t) {
+        for (int i = 0; i < 4; ++i) {
+          ASSERT_TRUE(
+              service.Ingest(ids[t], SampleQuery(*schema, hot, &rng)).ok());
+        }
+        ASSERT_TRUE(service.EndEpoch(ids[t]).ok());
+        for (int q = 0; q < 8; ++q) {
+          const GridQuery query =
+              SampleQuery(*schema, sampler.Sample(&rng), &rng);
+          expected_counts.push_back(BoxOf(*schema, query).NumCells() *
+                                    (1 + t % 4));
+          answers.push_back(service.SubmitQuery(ids[t], query));
+        }
+      }
+      for (size_t i = 0; i < answers.size(); ++i) {
+        const Result<QueryAnswer> answer = answers[i].get();
+        if (!answer.ok() || answer->count != expected_counts[i]) {
+          ++storm_failures;
+        }
+      }
+      // The next round's closes wait for this round's reclusters, so each
+      // recluster sees its own round's window whatever the scheduling.
+      for (;;) {
+        uint64_t backlog = 0;
+        for (const TenantTelemetry& t : service.Telemetry().tenants) {
+          backlog += t.recluster_backlog;
+        }
+        if (backlog == 0) break;
+        std::this_thread::yield();
+      }
+    }
+    service.Shutdown();
+    EXPECT_EQ(storm_failures, 0u);
+
+    uint64_t adoptions = 0;
+    for (const TenantId id : ids) {
+      EXPECT_TRUE(BitIdenticalRecommendations(
+          service.Advise(id).value(),
+          DirectAdvise(schema, config, service.SmoothedWorkload(id).value())));
+      const TenantStatus status = service.StatusOf(id).value();
+      EXPECT_EQ(status.backend, StorageBackendKindName(kind));
+      EXPECT_EQ(service.PinEpoch(id).value()->sequence,
+                status.recluster_adoptions);
+      adoptions += status.recluster_adoptions;
+    }
+    // Registration adopts once per tenant; the storm must add at least as
+    // many background adoptions again.
+    EXPECT_GE(adoptions, 2 * kTenants);
+
+    // Every close, publication and pinned read is on the operator surfaces.
+    const MetricsSnapshot snapshot = metrics.Snapshot();
+    EXPECT_EQ(snapshot.counter("service.tenants"), kTenants);
+    EXPECT_EQ(snapshot.counter("service.epochs_closed"), 6 * kTenants);
+    EXPECT_EQ(snapshot.counter("service.epochs_published"), adoptions);
+    EXPECT_GT(snapshot.histogram("service.epoch.pin_ns").count, 0u);
+    const TelemetrySnapshot telemetry = service.Telemetry();
+    EXPECT_EQ(telemetry.tenants.size(), kTenants);
+    EXPECT_FALSE(telemetry.requests.empty());
+    EXPECT_FALSE(telemetry.audit.empty());
   }
 }
 

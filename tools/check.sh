@@ -93,72 +93,6 @@ print("obs smoke ok: %d metrics, %d spans" %
        len(events)))
 EOF
 
-# Service throughput smoke: drive the daemon with mixed batched traffic and
-# a background-recluster storm across 8 tenants, then validate the guard
-# artifact — headline numbers plus the embedded MetricsRegistry snapshot.
-# The binary SNAKES_CHECKs its own bounds (sustained req/s, query p99,
-# epoch pin-wait p99, zero storm failures, bit-identical warm advice), so
-# reaching the python validation means the guards held.
-echo "==> [service] throughput smoke"
-SERVICE_BENCH="$ROOT/build-release/BENCH_service_throughput.json"
-(cd "$ROOT/build-release" && ./tools/service_sim --requests 2000 \
-  --out "$SERVICE_BENCH" > /dev/null)
-python3 - "$SERVICE_BENCH" <<'EOF'
-import json, sys
-d = json.load(open(sys.argv[1]))
-assert d["bench"] == "service_throughput"
-assert d["tenants"] >= 8, "guard must cover >= 8 tenants"
-assert d["bit_identical"] is True, "service advice diverged from the library"
-assert d["storm_failures"] == 0, "queries failed during background recluster"
-assert d["sustained_rps"] >= d["required_rps"]
-assert d["pin_wait_p99_ns"] <= d["pin_p99_bound_ns"], "readers blocked"
-assert d["query_compute_p99_ns"] <= d["query_p99_bound_ns"]
-m = d["metrics"]
-for key in ["service.tenants", "service.epochs_published",
-            "service.epochs_closed", "service.requests.completed"]:
-    assert key in m["counters"], "missing counter " + key
-for key in ["service.query.queue_ns", "service.query.compute_ns",
-            "service.advise.compute_ns", "service.epoch.pin_ns"]:
-    assert key in m["histograms"], "missing histogram " + key
-t = d["telemetry"]
-assert t["recorder"]["requests"], "embedded flight recorder is empty"
-assert len(t["tenants"]) == d["tenants"], "telemetry missing tenants"
-assert t["audit"], "recluster audit log is empty after the storm"
-print("service smoke ok: %.0f req/s over %d tenants, pin p99 %.0f ns" %
-      (d["sustained_rps"], d["tenants"], d["pin_wait_p99_ns"]))
-EOF
-
-# Micro-partition smoke: the storage-backend API must serve the same advice
-# and queries when tenants pack into zone-mapped micro-partitions. service_sim
-# reruns its full guard suite on the alternate backend, and the pruning bench
-# SNAKES_CHECKs bit-identical answers across backends plus >= 50% of
-# partitions pruned on restricted classes before emitting its artifact.
-echo "==> [micropartition] service smoke"
-MICRO_BENCH="$ROOT/build-release/BENCH_service_micropartition.json"
-(cd "$ROOT/build-release" && ./tools/service_sim --requests 2000 \
-  --backend micropartition --out "$MICRO_BENCH" > /dev/null)
-python3 - "$MICRO_BENCH" <<'EOF'
-import json, sys
-d = json.load(open(sys.argv[1]))
-assert d["bench"] == "service_throughput"
-assert d["backend"] == "micropartition", "backend selector did not stick"
-assert d["bit_identical"] is True, "micro-partition advice diverged"
-assert d["storm_failures"] == 0
-print("micropartition service smoke ok: %.0f req/s" % d["sustained_rps"])
-EOF
-echo "==> [micropartition] pruning bench"
-(cd "$ROOT/build-release" && ./bench/micro_micropartition > /dev/null)
-python3 - "$ROOT/build-release/BENCH_micropartition.json" <<'EOF'
-import json, sys
-d = json.load(open(sys.argv[1]))
-assert d["bench"] == "micropartition"
-assert d["bit_identical"] is True
-assert d["partitions"] > 0
-assert d["restricted_pruned_fraction"] >= d["required_fraction"]
-print("micropartition bench ok: %d partitions, %.1f%% pruned" %
-      (d["partitions"], 100.0 * d["restricted_pruned_fraction"]))
-EOF
-
 # Ledger correctness smoke: perf_ledger drives real requests through
 # AdvisorService and checks every sampled reply against the fact table's
 # sums and a fresh IoSimulator. A short seed-1 run of each workload must
@@ -233,21 +167,20 @@ print("calibration bench ok: median rel error %.3f, model-pick regret %.2f%%"
 EOF
 
 # Telemetry smoke: the always-on request-telemetry layer end to end.
-#  1. service_sim --telemetry dumps the flight recorder + SLO windows +
-#     audit log; python checks request ids are strictly increasing with
-#     monotone timestamps, SLO windows are non-empty, and every audit entry
-#     names a decision with its inputs.
+#  1. telemetry_report --format json dumps the flight recorder + SLO
+#     windows + audit log; python checks request ids are strictly increasing
+#     with monotone timestamps, SLO windows are non-empty, and every audit
+#     entry names a decision with its inputs.
 #  2. telemetry_report renders the same surface as Prometheus text
 #     exposition via the Dispatch verb; python validates the exposition
 #     grammar (every sample belongs to a TYPE-declared family) and that the
 #     SLO summary carries both quantiles.
 #  3. micro_telemetry SNAKES_CHECKs the per-request telemetry cost under 2%
 #     of the mixed-request path and python re-checks the artifact.
-echo "==> [telemetry] service_sim dump"
+echo "==> [telemetry] dump"
 TELEMETRY_DUMP="$ROOT/build-release/telemetry-smoke.json"
-(cd "$ROOT/build-release" && ./tools/service_sim --requests 2000 \
-  --out BENCH_telemetry_smoke_throughput.json \
-  --telemetry "$TELEMETRY_DUMP" > /dev/null)
+(cd "$ROOT/build-release" && ./tools/telemetry_report --format json \
+  --requests 400 --out "$TELEMETRY_DUMP")
 python3 - "$TELEMETRY_DUMP" <<'EOF'
 import json, sys
 t = json.load(open(sys.argv[1]))
