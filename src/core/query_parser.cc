@@ -1,44 +1,53 @@
 #include "core/query_parser.h"
 
 #include <string>
+#include <string_view>
+#include <vector>
 
 namespace snakes {
 
 namespace {
 
+bool IsSpace(char c) { return c == ' ' || c == '\t' || c == '\n' || c == '\r'; }
+
 // Splits into clauses on unquoted whitespace; double quotes may wrap any
 // part of a clause and are stripped. Single quotes are ordinary characters —
-// member labels like "levi's" contain them.
-Result<std::vector<std::string>> Tokenize(std::string_view text) {
-  std::vector<std::string> tokens;
-  std::string current;
-  char quote = 0;
-  for (const char c : text) {
-    if (quote != 0) {
-      if (c == quote) {
-        quote = 0;
-      } else {
-        current.push_back(c);
+// member labels like "levi's" contain them. A clause without quotes is a
+// view into `text`. A quoted one is unquoted into `*unquoted`, reserved to
+// text's size up front so it never reallocates under earlier views.
+Result<std::vector<std::string_view>> Tokenize(std::string_view text,
+                                               std::string* unquoted) {
+  std::vector<std::string_view> tokens;
+  if (text.find('"') != std::string_view::npos) unquoted->reserve(text.size());
+  size_t i = 0;
+  for (;;) {
+    while (i < text.size() && IsSpace(text[i])) ++i;
+    if (i == text.size()) break;
+    const size_t start = i;
+    bool in_quote = false;
+    bool has_quote = false;
+    for (; i < text.size(); ++i) {
+      if (text[i] == '"') {
+        in_quote = !in_quote;
+        has_quote = true;
+      } else if (!in_quote && IsSpace(text[i])) {
+        break;
       }
-      continue;
     }
-    if (c == '"') {
-      quote = c;
-      continue;
+    if (in_quote) {
+      return Status::InvalidArgument("unterminated quote in query");
     }
-    if (c == ' ' || c == '\t' || c == '\n' || c == '\r') {
-      if (!current.empty()) {
-        tokens.push_back(std::move(current));
-        current.clear();
+    std::string_view clause = text.substr(start, i - start);
+    if (has_quote) {
+      const size_t from = unquoted->size();
+      for (const char c : clause) {
+        if (c != '"') unquoted->push_back(c);
       }
-      continue;
+      clause = std::string_view(*unquoted).substr(from);
     }
-    current.push_back(c);
+    // A clause that was only quotes ("") names nothing.
+    if (!clause.empty()) tokens.push_back(clause);
   }
-  if (quote != 0) {
-    return Status::InvalidArgument("unterminated quote in query");
-  }
-  if (!current.empty()) tokens.push_back(std::move(current));
   return tokens;
 }
 
@@ -71,20 +80,22 @@ Result<GridQuery> ParseGridQuery(const StarSchema& schema,
     query.block[static_cast<size_t>(d)] = 0;
   }
 
-  SNAKES_ASSIGN_OR_RETURN(std::vector<std::string> clauses, Tokenize(text));
-  for (const std::string& clause : clauses) {
+  std::string unquoted;
+  SNAKES_ASSIGN_OR_RETURN(std::vector<std::string_view> clauses,
+                          Tokenize(text, &unquoted));
+  for (const std::string_view clause : clauses) {
     const size_t eq = clause.find('=');
-    if (eq == std::string::npos || eq == 0 || eq + 1 >= clause.size()) {
-      return Status::InvalidArgument("clause '" + clause +
+    if (eq == std::string_view::npos || eq == 0 || eq + 1 >= clause.size()) {
+      return Status::InvalidArgument("clause '" + std::string(clause) +
                                      "' is not dimension=label");
     }
-    std::string target = clause.substr(0, eq);
-    const std::string label = clause.substr(eq + 1);
+    std::string_view target = clause.substr(0, eq);
+    const std::string_view label = clause.substr(eq + 1);
 
-    std::string level_name;
-    if (const size_t dot = target.find('.'); dot != std::string::npos) {
+    std::string_view level_name;
+    if (const size_t dot = target.find('.'); dot != std::string_view::npos) {
       level_name = target.substr(dot + 1);
-      target.erase(dot);
+      target = target.substr(0, dot);
     }
 
     int dim = -1;
@@ -95,10 +106,11 @@ Result<GridQuery> ParseGridQuery(const StarSchema& schema,
       }
     }
     if (dim < 0) {
-      return Status::NotFound("no dimension named '" + target + "'");
+      return Status::NotFound("no dimension named '" + std::string(target) +
+                              "'");
     }
     if (selected[static_cast<size_t>(dim)]) {
-      return Status::InvalidArgument("dimension '" + target +
+      return Status::InvalidArgument("dimension '" + std::string(target) +
                                      "' selected twice");
     }
     const DimensionTable& table = tables[static_cast<size_t>(dim)];
@@ -113,8 +125,9 @@ Result<GridQuery> ParseGridQuery(const StarSchema& schema,
         }
       }
       if (level < 0) {
-        return Status::NotFound("dimension '" + target + "' has no level '" +
-                                level_name + "'");
+        return Status::NotFound("dimension '" + std::string(target) +
+                                "' has no level '" + std::string(level_name) +
+                                "'");
       }
       SNAKES_ASSIGN_OR_RETURN(block, table.BlockOf(level, label));
     } else {

@@ -21,8 +21,8 @@ struct CostFeatures {
   double pages = 0.0;               // distinct pages read
   double runs = 0.0;                // rank runs the query decomposed into
   double records = 0.0;             // records selected
-  double partitions_scanned = 0.0;  // zone-map survivors consulted
-  double partitions_pruned = 0.0;   // partitions skipped via zone maps
+  double partitions_scanned = 0.0;  // partitions holding >= 1 record read
+  double partitions_pruned = 0.0;   // partitions the query does not touch
 
   /// Features of one measured query.
   static CostFeatures FromQueryIo(const QueryIo& io);

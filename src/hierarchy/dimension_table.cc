@@ -1,11 +1,29 @@
 #include "hierarchy/dimension_table.h"
 
 #include <algorithm>
-#include <set>
+#include <string>
+#include <utility>
 
 #include "util/logging.h"
 
 namespace snakes {
+
+DimensionTable::DimensionTable(Hierarchy hierarchy,
+                               std::vector<std::vector<std::string>> labels)
+    : hierarchy_(std::move(hierarchy)), labels_(std::move(labels)) {
+  for (size_t l = 0; l < labels_.size(); ++l) {
+    for (uint64_t b = 0; b < labels_[l].size(); ++b) {
+      index_.push_back(Member{static_cast<int>(l), b});
+    }
+  }
+  std::sort(index_.begin(), index_.end(),
+            [this](const Member& x, const Member& y) {
+              const int c = LabelOf(x).compare(LabelOf(y));
+              if (c != 0) return c < 0;
+              return x.level != y.level ? x.level < y.level
+                                        : x.block < y.block;
+            });
+}
 
 Result<DimensionTable> DimensionTable::Make(
     Hierarchy hierarchy, std::vector<std::vector<std::string>> labels) {
@@ -23,16 +41,29 @@ Result<DimensionTable> DimensionTable::Make(
           " has " + std::to_string(hierarchy.num_blocks(l)) +
           " members but " + std::to_string(level_labels.size()) + " labels");
     }
-    std::set<std::string> seen;
-    for (const std::string& label : level_labels) {
-      if (!seen.insert(label).second) {
-        return Status::InvalidArgument("duplicate label '" + label +
-                                       "' at level " + std::to_string(l) +
-                                       " of dimension " + hierarchy.name());
-      }
+  }
+  DimensionTable table(std::move(hierarchy), std::move(labels));
+  // A member equal to its predecessor in the index repeats a label within
+  // its level. Report the first repeat in (level, block) order.
+  const Member* repeat = nullptr;
+  for (size_t i = 1; i < table.index_.size(); ++i) {
+    const Member& prev = table.index_[i - 1];
+    const Member& m = table.index_[i];
+    if (m.level != prev.level || table.LabelOf(m) != table.LabelOf(prev)) {
+      continue;
+    }
+    if (repeat == nullptr || m.level < repeat->level ||
+        (m.level == repeat->level && m.block < repeat->block)) {
+      repeat = &m;
     }
   }
-  return DimensionTable(std::move(hierarchy), std::move(labels));
+  if (repeat != nullptr) {
+    return Status::InvalidArgument(
+        "duplicate label '" + std::string(table.LabelOf(*repeat)) +
+        "' at level " + std::to_string(repeat->level) + " of dimension " +
+        table.name());
+  }
+  return table;
 }
 
 namespace {
@@ -100,9 +131,15 @@ Result<uint64_t> DimensionTable::BlockOf(int level,
     return Status::OutOfRange("level " + std::to_string(level) +
                               " out of range in dimension " + name());
   }
-  const auto& level_labels = labels_[static_cast<size_t>(level)];
-  for (uint64_t b = 0; b < level_labels.size(); ++b) {
-    if (level_labels[b] == label) return b;
+  // First member at or after (label, level).
+  const auto it = std::lower_bound(
+      index_.begin(), index_.end(), label,
+      [this, level](const Member& m, std::string_view key) {
+        const int c = LabelOf(m).compare(key);
+        return c != 0 ? c < 0 : m.level < level;
+      });
+  if (it != index_.end() && it->level == level && LabelOf(*it) == label) {
+    return it->block;
   }
   return Status::NotFound("no member '" + std::string(label) +
                           "' at level " + std::to_string(level) +
@@ -111,9 +148,15 @@ Result<uint64_t> DimensionTable::BlockOf(int level,
 
 Result<std::pair<int, uint64_t>> DimensionTable::Find(
     std::string_view label) const {
-  for (int l = 0; l <= hierarchy_.num_levels(); ++l) {
-    auto block = BlockOf(l, label);
-    if (block.ok()) return std::make_pair(l, block.value());
+  // The index orders a label's members by level, so the first is the
+  // lowest.
+  const auto it = std::lower_bound(
+      index_.begin(), index_.end(), label,
+      [this](const Member& m, std::string_view key) {
+        return LabelOf(m) < key;
+      });
+  if (it != index_.end() && LabelOf(*it) == label) {
+    return std::make_pair(it->level, it->block);
   }
   return Status::NotFound("no member '" + std::string(label) +
                           "' in dimension " + name());

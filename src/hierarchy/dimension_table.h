@@ -36,21 +36,34 @@ class DimensionTable {
   /// The label of block `block` at `level`.
   const std::string& label(int level, uint64_t block) const;
 
-  /// The block with label `label` at `level`, or NotFound.
+  /// The block with label `label` at `level`, or NotFound. O(log members).
   Result<uint64_t> BlockOf(int level, std::string_view label) const;
 
-  /// Searches every level bottom-up for `label`; returns (level, block).
-  /// Ambiguous labels resolve to the lowest level carrying them.
+  /// Searches every level for `label`; returns (level, block). Ambiguous
+  /// labels resolve to the lowest level carrying them. O(log members).
   Result<std::pair<int, uint64_t>> Find(std::string_view label) const;
 
  private:
+  /// One member: block `block` of level `level`.
+  struct Member {
+    int level = 0;
+    uint64_t block = 0;
+  };
+
+  /// Takes the labels and builds index_.
   DimensionTable(Hierarchy hierarchy,
-                 std::vector<std::vector<std::string>> labels)
-      : hierarchy_(std::move(hierarchy)), labels_(std::move(labels)) {}
+                 std::vector<std::vector<std::string>> labels);
+
+  std::string_view LabelOf(const Member& m) const {
+    return labels_[static_cast<size_t>(m.level)][m.block];
+  }
 
   Hierarchy hierarchy_;
   // labels_[l][b] — label of block b at level l.
   std::vector<std::vector<std::string>> labels_;
+  // Every member, sorted by (label, level, block). Entries name positions
+  // in labels_, never point into it, so copies and moves stay valid.
+  std::vector<Member> index_;
 };
 
 }  // namespace snakes

@@ -57,7 +57,7 @@ struct RequestContext {
   uint64_t finish_ns = 0;   // when the handler returned
   StatusCode status = StatusCode::kOk;
   uint64_t pages = 0;              // pages the request touched
-  uint64_t partitions_pruned = 0;  // partitions zone maps skipped
+  uint64_t partitions_pruned = 0;  // partitions holding none of its records
 
   /// The context of the request this thread is serving; null outside any
   /// request. The service's request handler installs exactly one per

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string_view>
 #include <vector>
 
@@ -73,13 +74,17 @@ struct MeasureBounds {
   bool Contains(double v) const { return v >= lo && v <= hi; }
 };
 
-/// Outcome of zone-map pruning a query box against a backend's partition
-/// directory. Non-partitioned backends report all-zero stats ("nothing to
-/// prune"); partitioned ones satisfy scanned + pruned == partitions.
+/// How much of a backend's partition directory one query touches.
+/// Non-partitioned backends report all-zero stats ("nothing to prune");
+/// partitioned ones satisfy scanned + pruned == partitions. Two producers
+/// fill it: IoSimulator::Measure counts, from the query's own runs, exactly
+/// the partitions that hold >= 1 record of the query (what a read pays for);
+/// StorageBackend::PruneBox reports the zone-map survivors, a superset of
+/// those (what the directory alone can rule out).
 struct PruneStats {
-  uint64_t partitions = 0;  // directory size consulted
-  uint64_t scanned = 0;     // partitions whose zone map overlaps the box
-  uint64_t pruned = 0;      // partitions skipped without touching data
+  uint64_t partitions = 0;  // directory size
+  uint64_t scanned = 0;     // partitions read (Measure) or zone-map survivors
+  uint64_t pruned = 0;      // partitions - scanned
 
   double PrunedFraction() const {
     return partitions == 0
@@ -125,9 +130,15 @@ class StorageBackend {
   /// Total pages used.
   uint64_t num_pages() const { return num_pages_; }
 
+  /// First data page of every partition, ascending, one entry per
+  /// partition; empty when the backend has no partition structure (every
+  /// page lives in one implicit unit). Partitions never share a page, so the
+  /// partition holding page p is the last one whose first page is <= p.
+  virtual std::span<const uint64_t> PartitionFirstPages() const { return {}; }
+
   /// Partition directory size; 0 means the backend has no partition
-  /// structure (every page lives in one implicit unit).
-  virtual uint64_t num_partitions() const { return 0; }
+  /// structure.
+  uint64_t num_partitions() const { return PartitionFirstPages().size(); }
 
   /// True iff the cell at `rank` holds no records.
   bool CellEmpty(uint64_t rank) const {
@@ -164,11 +175,13 @@ class StorageBackend {
   /// schemas, so start + len itself is guarded against wraparound).
   RangeIo MeasureRange(uint64_t start, uint64_t len) const;
 
-  /// Zone-map pruning of a query box: how much of the partition directory a
-  /// query can skip before scanning survivors. Pruning is conservative — a
-  /// pruned partition holds no cell of the box, so it never changes the
-  /// measured QueryIo, only the evaluation work. The base backend has no
-  /// partitions and returns all-zero stats.
+  /// Zone-map pruning of a query box: how much of the partition directory
+  /// the metadata alone rules out. Pruning is conservative — a pruned
+  /// partition holds no cell of the box, so the survivors include every
+  /// partition a read of the box touches. The query path counts those from
+  /// its runs instead (IoSimulator::Measure); this stays as the directory's
+  /// own answer for tools and tests. The base backend has no partitions and
+  /// returns all-zero stats.
   virtual PruneStats PruneBox(const CellBox& box) const {
     (void)box;
     return PruneStats{};

@@ -1,6 +1,7 @@
 #include "storage/executor.h"
 
 #include <algorithm>
+#include <span>
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -48,6 +49,39 @@ struct RunState {
   }
 };
 
+/// The partitions one query's records live in, counted from its runs. Runs
+/// arrive in rank order, so their page spans are non-decreasing, and
+/// partitions never share a page: a run with records touches exactly the
+/// partitions of its first through last page, and every partition before
+/// `next` has already been counted or passed over.
+struct PartitionTally {
+  std::span<const uint64_t> first_pages;  // ascending, one per partition
+  size_t next = 0;  // partitions [0, next) are counted or passed over
+  uint64_t touched = 0;
+
+  void Add(uint64_t first, uint64_t last) {
+    // Common case on fine queries: the run ends inside the partition
+    // counted last.
+    if (next > 0 && (next == first_pages.size() || last < first_pages[next])) {
+      return;
+    }
+    // One past the partitions of `first` and `last`.
+    const auto begin = first_pages.begin();
+    const size_t first_end = static_cast<size_t>(
+        std::upper_bound(begin + static_cast<ptrdiff_t>(next),
+                         first_pages.end(), first) -
+        begin);
+    const size_t last_end = static_cast<size_t>(
+        std::upper_bound(begin + static_cast<ptrdiff_t>(first_end),
+                         first_pages.end(), last) -
+        begin);
+    // The partition of `first` was counted already when it is next - 1.
+    const size_t from = first_end > next ? first_end - 1 : next;
+    touched += last_end - from;
+    next = last_end;
+  }
+};
+
 }  // namespace
 
 IoSimulator::IoSimulator(const StorageBackend& backend, const ObsSink& obs,
@@ -68,40 +102,30 @@ IoSimulator::IoSimulator(const StorageBackend& backend, const ObsSink& obs,
   }
 }
 
-bool IoSimulator::AllPartitionsPruned(const CellBox& box,
-                                      PruneStats* prune_out) const {
-  if (backend_.num_partitions() == 0) return false;
-  const PruneStats prune = backend_.PruneBox(box);
-  if (partitions_scanned_ != nullptr) {
-    partitions_scanned_->Inc(prune.scanned);
-    partitions_pruned_->Inc(prune.pruned);
-  }
-  if (prune_out != nullptr) *prune_out = prune;
-  return prune.scanned == 0;
-}
-
 QueryIo IoSimulator::Measure(const GridQuery& query, PruneStats* prune,
                              int64_t* cents) const {
   ScopedSpan span(tracer_, "storage/measure", "storage");
   const Linearization& lin = backend_.linearization();
-  const CellBox box = BoxOf(lin.schema(), query);
-  if (cents != nullptr) *cents = 0;
-  // Zone maps first: a box every partition prunes holds no records, so the
-  // run decomposition (and its I/O) is skipped outright.
-  if (AllPartitionsPruned(box, prune)) return QueryIo{};
   std::vector<RankRun>& runs = arena_->scratch();
   runs.clear();
-  lin.AppendRuns(box, &runs);
+  lin.AppendRuns(BoxOf(lin.schema(), query), &runs);
 
   RunState run;
+  PartitionTally tally{backend_.PartitionFirstPages()};
   int64_t sum_cents = 0;
   for (const RankRun& r : runs) {
     const StorageBackend::RangeIo range = backend_.MeasureRange(r.start, r.len);
     if (range.records == 0) continue;
     run.Add(range.first_page, range.last_page, range.records, run_length_);
+    tally.Add(range.first_page, range.last_page);
     sum_cents += range.cents;
   }
   if (cents != nullptr) *cents = sum_cents;
+  PruneStats read;
+  read.partitions = tally.first_pages.size();
+  read.scanned = tally.touched;
+  read.pruned = read.partitions - read.scanned;
+  if (prune != nullptr) *prune = read;
   QueryIo io;
   io.records = run.records;
   io.pages = run.pages;
@@ -114,6 +138,10 @@ QueryIo IoSimulator::Measure(const GridQuery& query, PruneStats* prune,
     seeks_->Inc(io.seeks);
     runs_emitted_->Inc(runs.size());
     for (const RankRun& r : runs) cells_per_run_->Record(r.len);
+    if (read.partitions > 0) {
+      partitions_scanned_->Inc(read.scanned);
+      partitions_pruned_->Inc(read.pruned);
+    }
   }
   return io;
 }

@@ -71,13 +71,14 @@ struct WorkloadIoStats {
 /// as MeasureCellWalk / MeasureClassCellWalk — test oracles the run paths
 /// are checked against, not production paths.
 ///
-/// On partitioned backends Measure first consults the zone maps
-/// (StorageBackend::PruneBox): a query whose box misses every partition
-/// skips its run decomposition entirely, and the
+/// On partitioned backends Measure also counts, from the same runs, the
+/// partitions that hold >= 1 record of the query: each run's first and last
+/// page are located in StorageBackend::PartitionFirstPages, so the count
+/// costs O(runs · log partitions) and never sweeps the directory. The
 /// storage.partitions_scanned / storage.partitions_pruned counters expose
-/// the pruning power of the directory. Pruning is conservative, so measured
-/// QueryIo is bit-identical across backends; MeasureClass therefore skips
-/// the zone maps altogether.
+/// it. The zone maps (StorageBackend::PruneBox) are not consulted: the
+/// partitions a read touches are a subset of the zone-map survivors, and
+/// QueryIo is bit-identical across backends either way.
 ///
 /// With an ObsSink the simulator mirrors its measurements into the registry
 /// — storage.pages_read / storage.seeks counters on every path,
@@ -98,7 +99,8 @@ class IoSimulator {
                        RunArena* arena = nullptr);
 
   /// I/O of one query from its rank-run decomposition, O(runs). When
-  /// `prune` is non-null it receives the zone-map outcome for this query
+  /// `prune` is non-null it receives the partitions this query reads —
+  /// scanned is the number holding >= 1 of its records, pruned the rest
   /// (zeros on unpartitioned backends) — the per-request attribution the
   /// service's flight recorder records; the aggregate counters are
   /// unaffected. When `cents` is non-null it receives the query's exact
@@ -135,13 +137,6 @@ class IoSimulator {
                                 const std::vector<ClassIoStats>& per_class);
 
  private:
-  /// Consults the backend's zone maps for `box` and mirrors the outcome
-  /// into the pruning counters (and `prune`, when non-null). True iff every
-  /// partition was pruned (the caller may skip run decomposition; the box
-  /// holds no records).
-  bool AllPartitionsPruned(const CellBox& box,
-                           PruneStats* prune = nullptr) const;
-
   const StorageBackend& backend_;
   // Reused run storage; `mutable` because measurement is logically const.
   // Points at the caller's arena when one was supplied.

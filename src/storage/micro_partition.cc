@@ -29,6 +29,10 @@ Result<MicroPartitionStore> MicroPartitionStore::Pack(
     open.num_ranks = n - open.first_rank;
     store.partitions_.push_back(open);
   }
+  store.first_pages_.reserve(store.partitions_.size());
+  for (const Partition& p : store.partitions_) {
+    store.first_pages_.push_back(p.first_page);
+  }
   return store;
 }
 

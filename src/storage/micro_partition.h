@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <span>
 #include <vector>
 
 #include "hierarchy/star_schema.h"
@@ -17,16 +18,19 @@ namespace snakes {
 /// Snowflake-style storage backend: the same rank-order page packing as
 /// PackedLayout, with consecutive rank runs of pages grouped into immutable
 /// micro-partitions that carry per-dimension cell-coordinate min/max zone
-/// maps. Queries prune the partition directory with the zone maps before
-/// scanning rank runs inside the survivors, and reclustering rewrites whole
-/// partitions — immutable files are replaced, never patched in place.
+/// maps. A query reads only the partitions its rank runs land in
+/// (IoSimulator::Measure counts them from the runs' page spans through
+/// PartitionFirstPages), and reclustering rewrites whole partitions —
+/// immutable files are replaced, never patched in place. The zone maps
+/// answer what the directory alone can rule out for a box (PruneBox,
+/// PruneBoxMeasure), a conservative bound on the partitions a read touches.
 ///
 /// Partitions tile the rank space exactly: every rank belongs to one
 /// partition, partitions cover disjoint page ranges, and a partition closes
 /// at the first clean page boundary once it spans at least
 /// config.micro_partition_pages pages. Zone maps aggregate only non-empty
 /// cells, so pruning is conservative: a pruned partition holds no record of
-/// the query box and measured QueryIo stays bit-identical to PackedLayout.
+/// the query box. Measured QueryIo is bit-identical to PackedLayout.
 class MicroPartitionStore : public StorageBackend {
  public:
   struct Partition {
@@ -65,9 +69,12 @@ class MicroPartitionStore : public StorageBackend {
     return StorageBackendKind::kMicroPartition;
   }
 
-  uint64_t num_partitions() const override { return partitions_.size(); }
   const Partition& partition(uint64_t index) const {
     return partitions_[index];
+  }
+
+  std::span<const uint64_t> PartitionFirstPages() const override {
+    return first_pages_;
   }
 
   /// Index of the partition whose rank range contains `rank`.
@@ -104,6 +111,9 @@ class MicroPartitionStore : public StorageBackend {
                CellId id);
 
   std::vector<Partition> partitions_;
+  // partitions_[p].first_page, contiguous so a read's partition lookups
+  // binary-search 8-byte keys instead of striding over zone maps.
+  std::vector<uint64_t> first_pages_;
 };
 
 }  // namespace snakes

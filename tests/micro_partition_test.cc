@@ -256,6 +256,71 @@ TEST_P(MicroPartitionDifferentialTest, PruningIsSoundAgainstBruteForce) {
   }
 }
 
+TEST_P(MicroPartitionDifferentialTest, MeasureCountsExactlyThePartitionsRead) {
+  // Measure counts partitions from the query's runs; the oracle walks the
+  // box cell by cell and resolves each non-empty cell's partition by rank.
+  Rng rng(0xC0DE + static_cast<uint64_t>(GetParam()) * 7919);
+  const auto schema = RandomSchema(&rng);
+  const auto facts = RandomFacts(schema, &rng);
+  const auto lin = RandomOrder(schema, &rng);
+  const auto store = MicroPartitionStore::Pack(lin, facts, SmallConfig())
+                         .value();
+  const auto packed = MakeStorageBackend(StorageBackendKind::kPacked, lin,
+                                         facts, SmallConfig())
+                          .value();
+  ASSERT_GT(store.num_partitions(), 1u);
+  MetricsRegistry metrics;
+  const IoSimulator sim(store, ObsSink{&metrics, nullptr});
+  const IoSimulator packed_sim(*packed);
+
+  const QueryClassLattice lat(*schema);
+  uint64_t total_scanned = 0, total_pruned = 0;
+  for (uint64_t c = 0; c < lat.size(); ++c) {
+    const QueryClass cls = lat.ClassAt(c);
+    const uint64_t queries = NumQueriesInClass(*schema, cls);
+    for (uint64_t q = 0; q < queries; ++q) {
+      const GridQuery query = QueryAt(*schema, cls, q);
+      const CellBox box = BoxOf(*schema, query);
+      std::vector<bool> holds(store.num_partitions(), false);
+      CellCoord coord = box.lo;
+      for (;;) {
+        const uint64_t rank = lin->RankOf(coord);
+        if (store.CellRecords(rank) > 0) holds[store.PartitionOf(rank)] = true;
+        int d = schema->num_dims() - 1;
+        for (; d >= 0; --d) {
+          const size_t i = static_cast<size_t>(d);
+          if (++coord[i] < box.hi[i]) break;
+          coord[i] = box.lo[i];
+        }
+        if (d < 0) break;
+      }
+      const uint64_t exact =
+          static_cast<uint64_t>(std::count(holds.begin(), holds.end(), true));
+
+      const std::string ctx = lin->name() + " " + query.ToString();
+      PruneStats read;
+      sim.Measure(query, &read);
+      EXPECT_EQ(read.partitions, store.num_partitions()) << ctx;
+      EXPECT_EQ(read.scanned, exact) << ctx;
+      EXPECT_EQ(read.scanned + read.pruned, read.partitions) << ctx;
+      EXPECT_LE(read.scanned, store.PruneBox(box).scanned) << ctx;
+      total_scanned += read.scanned;
+      total_pruned += read.pruned;
+
+      // A backend without a directory reports nothing to prune.
+      PruneStats none{1, 1, 1};
+      packed_sim.Measure(query, &none);
+      EXPECT_EQ(none.partitions, 0u) << ctx;
+      EXPECT_EQ(none.scanned, 0u) << ctx;
+      EXPECT_EQ(none.pruned, 0u) << ctx;
+    }
+  }
+  // The aggregate counters add up the per-query counts.
+  const MetricsSnapshot snap = metrics.Snapshot();
+  EXPECT_EQ(snap.counter("storage.partitions_scanned"), total_scanned);
+  EXPECT_EQ(snap.counter("storage.partitions_pruned"), total_pruned);
+}
+
 TEST_P(MicroPartitionDifferentialTest, MeasurePruningIsSoundPerRecord) {
   // Record-level soundness of the measure zone maps: the test keeps its own
   // list of every (coord, measure) record it inserts, so a partition pruned
@@ -446,9 +511,9 @@ TEST_P(MicroPartitionDifferentialTest, MovementPricingSharesPermutation) {
 INSTANTIATE_TEST_SUITE_P(Seeds, MicroPartitionDifferentialTest,
                          ::testing::Range(1, 9));
 
-TEST(MicroPartitionTest, AllPrunedFastPathSkipsDataAndCountsPruning) {
-  // Populate only the dim0 < 2 half; queries over other dim0 blocks prune
-  // the whole directory and must still measure an all-zero QueryIo.
+TEST(MicroPartitionTest, EmptyBoxReadsNoDataAndCountsEveryPartitionPruned) {
+  // Populate only the dim0 < 2 half; a query over another dim0 block holds
+  // no record, so it reads no partition and measures an all-zero QueryIo.
   auto schema = std::make_shared<StarSchema>(
       StarSchema::Symmetric(2, 2, 2).value());
   auto facts = std::make_shared<FactTable>(schema);
@@ -482,7 +547,7 @@ TEST(MicroPartitionTest, AllPrunedFastPathSkipsDataAndCountsPruning) {
   EXPECT_EQ(snap.counter("storage.partitions_scanned"), 0u);
   EXPECT_EQ(snap.counter("storage.partitions_pruned"),
             micro->num_partitions());
-  // The fast path never touched the run decomposition or page counters.
+  // Its runs hold no record, so no page is read.
   EXPECT_EQ(snap.counter("storage.pages_read"), 0u);
 }
 
@@ -629,9 +694,12 @@ TEST(MicroPartitionTpcdTest, RestrictedClassesPruneMostOfTheDirectory) {
   EXPECT_EQ(tpcd.micro->num_partitions(), 1013u);
 
   // Restricted classes are every class below the grid-spanning top, where
-  // the zone maps have a box edge to cut against.
+  // the zone maps have a box edge to cut against. The zone maps bound what
+  // a read touches; Measure counts the partitions that actually hold the
+  // query's records, never more than survive.
   const QueryClassLattice lat(schema);
-  uint64_t scanned = 0, pruned = 0;
+  const IoSimulator sim(*tpcd.micro);
+  uint64_t scanned = 0, pruned = 0, read = 0, skipped = 0;
   for (uint64_t c = 0; c < lat.size(); ++c) {
     const QueryClass cls = lat.ClassAt(c);
     if (cls == lat.Top()) continue;
@@ -639,6 +707,11 @@ TEST(MicroPartitionTpcdTest, RestrictedClassesPruneMostOfTheDirectory) {
       const PruneStats stats = tpcd.micro->PruneBox(BoxOf(schema, query));
       scanned += stats.scanned;
       pruned += stats.pruned;
+      PruneStats exact;
+      sim.Measure(query, &exact);
+      EXPECT_LE(exact.scanned, stats.scanned) << query.ToString();
+      read += exact.scanned;
+      skipped += exact.pruned;
     }
   }
   EXPECT_EQ(scanned, 77552u);
@@ -647,6 +720,8 @@ TEST(MicroPartitionTpcdTest, RestrictedClassesPruneMostOfTheDirectory) {
       static_cast<double>(pruned) / static_cast<double>(scanned + pruned);
   EXPECT_GE(fraction, 0.5);
   EXPECT_EQ(std::lround(1000.0 * fraction), 972);  // 97.2%
+  EXPECT_EQ(read, 75595u);
+  EXPECT_EQ(skipped, 2725350u);
 }
 
 TEST(MicroPartitionDeathTest, MeasureRangePastTheGridAborts) {

@@ -73,6 +73,24 @@ TEST_F(ParserTest, DoubleQuotedLabels) {
   EXPECT_EQ(q.block[1], 3u);
 }
 
+TEST_F(ParserTest, QuotesMayWrapAnyPartOfAnyClause) {
+  // Several quoted clauses in one text, each quoted differently, parse as
+  // their unquoted forms; a clause that is only quotes names nothing.
+  for (const std::string_view text :
+       {"\"jeans\"=\"men's gitano\" location=\"albany\"",
+        "jeans=\"men's \"gitano \"\" \"location=alb\"any",
+        "\"jeans=men's gitano\"\t\"\"  location=albany \"\""}) {
+    const GridQuery q = Parse(text).value();
+    EXPECT_EQ(q.cls, (QueryClass{0, 0})) << text;
+    EXPECT_EQ(q.block[0], 2u) << text;  // albany
+    EXPECT_EQ(q.block[1], 2u) << text;  // men's gitano
+  }
+  // Error text names the clause as unquoted.
+  const Status bad = Parse("\"jeans men's\"").status();
+  EXPECT_EQ(bad.message(), "clause 'jeans men's' is not dimension=label");
+  EXPECT_EQ(Parse("\"\"").value().cls, (QueryClass{2, 2}));
+}
+
 TEST_F(ParserTest, Errors) {
   EXPECT_FALSE(Parse("color=red").ok());
   EXPECT_FALSE(Parse("location=mars").ok());

@@ -14,6 +14,7 @@
 #include <cstring>
 #include <future>
 #include <memory>
+#include <set>
 #include <string>
 #include <thread>
 #include <utility>
@@ -31,6 +32,7 @@
 #include "service/telemetry.h"
 #include "storage/backend.h"
 #include "storage/fact_table.h"
+#include "storage/micro_partition.h"
 #include "storage/pager.h"
 #include "storage/query_engine.h"
 #include "interleave_driver.h"
@@ -621,6 +623,67 @@ TEST(ServiceDispatchTest, ServesTextualRequests) {
   EXPECT_FALSE(service.Dispatch("t", "").ok());
   EXPECT_FALSE(service.Dispatch("t", "query dim0=nosuchlabel").ok());
   EXPECT_FALSE(service.Dispatch("t", "ingest dim0==").ok());
+}
+
+TEST(ServiceQueryTest, TextualDrillDownRecordsThePartitionsItDoesNotRead) {
+  // Leaf-level reads on a micro-partition tenant: each request's flight
+  // record carries P minus the partitions holding its records, counted here
+  // by walking the box's cells on the pinned layout. Partitions of 6 cells
+  // straddle the 4-cell rows, so their zone maps cover cells they do not
+  // hold and would let more partitions through.
+  LabeledService ls = LabeledSchema();
+  ServiceConfig config = SmallConfig();
+  config.storage.micro_partition_pages = 7;
+  AdvisorService service(config);
+  TenantSpec spec;
+  spec.name = "t";
+  spec.schema = ls.schema;
+  spec.facts = DenseFacts(ls.schema, 3);
+  spec.tables = ls.tables;
+  spec.backend = StorageBackendKind::kMicroPartition;
+  const TenantId id = service.RegisterTenant(std::move(spec)).value();
+  const auto epoch = service.PinEpoch(id).value();
+  const auto* store =
+      dynamic_cast<const MicroPartitionStore*>(epoch->backend.get());
+  ASSERT_NE(store, nullptr);
+  const uint64_t partitions = store->num_partitions();
+  ASSERT_GT(partitions, 2u);
+
+  std::vector<uint64_t> want;  // partitions_pruned, in request order
+  for (uint64_t x = 0; x < 4; ++x) {
+    for (int level = 0; level <= 2; ++level) {
+      for (uint64_t y = 0; y < (4u >> level); ++y) {
+        const GridQuery query = MakeQuery(0, level, x, y);
+        const CellBox box = BoxOf(*ls.schema, query);
+        std::set<uint64_t> read;
+        CellCoord cell = box.lo;
+        for (cell[0] = box.lo[0]; cell[0] < box.hi[0]; ++cell[0]) {
+          for (cell[1] = box.lo[1]; cell[1] < box.hi[1]; ++cell[1]) {
+            const uint64_t rank = store->linearization().RankOf(cell);
+            if (!store->CellEmpty(rank)) read.insert(store->PartitionOf(rank));
+          }
+        }
+        ASSERT_FALSE(read.empty());
+        const std::string text = "dim0=d0l0b" + std::to_string(x) +
+                                 " dim1=d1l" + std::to_string(level) + "b" +
+                                 std::to_string(y);
+        ASSERT_TRUE(service.Dispatch("t", "query " + text).ok()) << text;
+        ASSERT_TRUE(service.Dispatch("t", "measure " + text).ok()) << text;
+        want.push_back(partitions - read.size());
+        want.push_back(partitions - read.size());
+      }
+    }
+  }
+
+  std::vector<uint64_t> got;
+  for (const RequestRecord& r : service.Telemetry().requests) {
+    if (r.verb != RequestVerb::kQuery && r.verb != RequestVerb::kMeasure) {
+      continue;
+    }
+    EXPECT_EQ(r.status, StatusCode::kOk);
+    got.push_back(r.partitions_pruned);
+  }
+  EXPECT_EQ(got, want);
 }
 
 TEST(ServiceDispatchTest, CostModelVerbReportsAndSwitches) {
